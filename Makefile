@@ -42,15 +42,15 @@ bench-diff:
 
 # Regenerate BENCH_sweep.json and fail if figure or grid metrics
 # drifted from goldens/bench_metrics.json (run with UPDATE=1 to rewrite
-# the goldens). BenchmarkSweepCollapse's allocs/cell and the advisor
-# serving-path benchmarks' decisions/s are reported but not gated:
-# allocator behavior and wall-clock throughput may move with the
-# toolchain and hardware.
+# the goldens). BenchmarkSweepCollapse's allocs/cell, the advisor
+# serving-path benchmarks' decisions/s and BenchmarkReplayScaling's
+# ns/job are reported but not gated: allocator behavior and wall-clock
+# throughput may move with the toolchain and hardware.
 bench-golden:
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure|BenchmarkFullGrid20Reps|BenchmarkLargeTraceReplay|BenchmarkSweepCollapse|BenchmarkCellCache|BenchmarkAdvisorDecide' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure|BenchmarkFullGrid20Reps|BenchmarkLargeTraceReplay|BenchmarkReplayScaling|BenchmarkSweepCollapse|BenchmarkCellCache|BenchmarkAdvisorDecide' \
 			-benchtime 3x -count 3 . \
 		| $(GO) run ./internal/tools/benchjson \
-			-golden goldens/bench_metrics.json -volatile 'BenchmarkSweepCollapse|BenchmarkCellCache|BenchmarkAdvisorDecide' \
+			-golden goldens/bench_metrics.json -volatile 'BenchmarkReplayScaling|BenchmarkSweepCollapse|BenchmarkCellCache|BenchmarkAdvisorDecide' \
 			$(if $(UPDATE),-update) \
 			> BENCH_sweep.json
 

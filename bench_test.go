@@ -340,6 +340,33 @@ func BenchmarkFullGrid20Reps(b *testing.B) {
 // throughput is jobs / (ns/op), tracked via ns/op but never gated.
 func BenchmarkLargeTraceReplay(b *testing.B) {
 	const jobs = 1200
+	col := benchReplay(b, jobs)
+	for _, g := range col.Groups {
+		makespan := g.Metrics["makespan_s"].Mean
+		if done := g.Metrics["jobs"].Mean; done != jobs {
+			b.Fatalf("replayed %v jobs, want %d", done, jobs)
+		}
+		b.ReportMetric(jobs/makespan, "virt_jobs_per_s")
+		b.ReportMetric(g.Metrics["sojourn_mean_s"].Mean, "sojourn_mean_s")
+	}
+}
+
+// BenchmarkReplayScaling runs the BenchmarkLargeTraceReplay cell at
+// growing trace lengths and reports wall-clock ns/job, so cost that
+// grows faster than the job count shows as a rising ns/job. Wall-clock
+// only, so it is volatile: reported, never gated.
+func BenchmarkReplayScaling(b *testing.B) {
+	for _, jobs := range []int{600, 1200, 2400, 4800} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			benchReplay(b, jobs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
+		})
+	}
+}
+
+// benchReplay replays a synthesized jobs-long SWIM trace as one FIFO
+// cell, b.N times, and returns the last run's result.
+func benchReplay(b *testing.B, jobs int) *hp.SweepCollapsed {
 	trace, err := hp.SynthesizeSWIMTrace(jobs)
 	if err != nil {
 		b.Fatal(err)
@@ -367,14 +394,8 @@ func BenchmarkLargeTraceReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, g := range col.Groups {
-		makespan := g.Metrics["makespan_s"].Mean
-		if done := g.Metrics["jobs"].Mean; done != jobs {
-			b.Fatalf("replayed %v jobs, want %d", done, jobs)
-		}
-		b.ReportMetric(jobs/makespan, "virt_jobs_per_s")
-		b.ReportMetric(g.Metrics["sojourn_mean_s"].Mean, "sojourn_mean_s")
-	}
+	b.StopTimer()
+	return col
 }
 
 // BenchmarkSweepCollapse contrasts per-cell allocations of the legacy

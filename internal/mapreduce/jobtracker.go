@@ -18,6 +18,11 @@ type Job struct {
 
 	tasks []*Task // maps first, then reduces
 
+	// seq is the submission sequence number; it orders the pending index.
+	seq int
+	// pending counts the job's tasks in TaskPending.
+	pending int
+
 	submittedAt time.Duration
 	completedAt time.Duration
 }
@@ -173,17 +178,22 @@ type JobTracker struct {
 	jobOrder []JobID
 	// jobList mirrors jobOrder with resolved pointers so per-heartbeat
 	// walks skip the map lookups.
-	jobList  []*Job
-	tasks    map[TaskID]*Task
-	trackers map[string]*TaskTracker
+	jobList []*Job
+	tasks   map[TaskID]*Task
+	// trackers holds the per-tracker views by tracker name. A registered
+	// tracker's view lives on its TaskTracker; a name that heartbeats
+	// without registering gets a view of its own on first use.
+	trackers map[string]*trackerView
 	nextJob  int
 	// liveJobs counts submitted jobs not yet terminal, so the per-event
 	// termination check is a comparison instead of a map walk.
 	liveJobs int
-	// pendingTasks counts tasks in TaskPending across all jobs. Together
-	// with the per-tracker quiescence flags it lets a heartbeat prove the
+	// pendingJobs lists the jobs with at least one pending task, in
+	// submission order, so assignment walks live work instead of every
+	// job ever submitted (EachPending). Together with the per-tracker
+	// quiescence flags, its emptiness lets a heartbeat prove the
 	// scheduler has nothing to do without consulting it.
-	pendingTasks int
+	pendingJobs []*Job
 
 	// Scratch buffers reused across heartbeats; their contents are only
 	// valid until the next Heartbeat call.
@@ -206,7 +216,7 @@ func NewJobTracker(eng *sim.Engine, cfg EngineConfig, fs *hdfs.FileSystem) (*Job
 	if jt.jobs == nil {
 		jt.jobs = make(map[JobID]*Job)
 		jt.tasks = make(map[TaskID]*Task)
-		jt.trackers = make(map[string]*TaskTracker)
+		jt.trackers = make(map[string]*trackerView)
 	}
 	return jt, nil
 }
@@ -226,10 +236,12 @@ func (jt *JobTracker) release() {
 	jt.jobOrder = jt.jobOrder[:0]
 	clear(jt.jobList)
 	jt.jobList = jt.jobList[:0]
+	clear(jt.pendingJobs)
+	jt.pendingJobs = jt.pendingJobs[:0]
 	jt.listeners = nil
 	jt.scheduler = nil
 	jt.eng, jt.cfg, jt.fs = nil, nil, nil
-	jt.nextJob, jt.liveJobs, jt.pendingTasks = 0, 0, 0
+	jt.nextJob, jt.liveJobs = 0, 0
 	clear(jt.onScratch)
 	clear(jt.suspScratch)
 	clear(jt.actionScratch)
@@ -250,12 +262,39 @@ func (jt *JobTracker) Config() EngineConfig { return *jt.cfg }
 // Engine returns the simulation engine.
 func (jt *JobTracker) Engine() *sim.Engine { return jt.eng }
 
+// trackerView is the JobTracker's bookkeeping for one tracker name, kept
+// current by noteTaskTransition on every task state change.
+type trackerView struct {
+	tt *TaskTracker // nil for a name that never registered
+	// on holds the tasks whose current attempt is on this tracker and
+	// that are live or killed, sorted by task id (tasksOn).
+	on []*Task
+	// cmdDirty is set when a task here enters a command state
+	// (MUST_SUSPEND, MUST_RESUME, KILLED) and cleared once a heartbeat's
+	// command scan has drained it.
+	cmdDirty bool
+	// suspended counts tasks here in {SUSPENDED, MUST_RESUME} (resume
+	// locality makes these tracker-bound).
+	suspended int
+}
+
+// onTracker reports whether a task in state s belongs in its tracker's
+// tasksOn list.
+func onTracker(s TaskState) bool { return s.Live() || s == TaskKilled }
+
+// byTaskID orders tasks like their id strings.
+func byTaskID(a, b *Task) int { return compareTaskIDs(a.id, b.id) }
+
+// bySeq orders jobs by submission.
+func bySeq(a, b *Job) int { return a.seq - b.seq }
+
 // registerTracker is called by TaskTrackers when they start.
 func (jt *JobTracker) registerTracker(tt *TaskTracker) error {
 	if _, ok := jt.trackers[tt.name]; ok {
 		return fmt.Errorf("mapreduce: tracker %q already registered", tt.name)
 	}
-	jt.trackers[tt.name] = tt
+	tt.jtView.tt = tt
+	jt.trackers[tt.name] = &tt.jtView
 	return nil
 }
 
@@ -281,6 +320,7 @@ func (jt *JobTracker) Submit(conf JobConf) (*Job, error) {
 		id:          id,
 		conf:        conf,
 		state:       JobPending,
+		seq:         jt.nextJob,
 		submittedAt: jt.eng.Now(),
 	}
 	for i, b := range blocks {
@@ -308,7 +348,10 @@ func (jt *JobTracker) Submit(conf JobConf) (*Job, error) {
 	jt.jobOrder = append(jt.jobOrder, id)
 	jt.jobList = append(jt.jobList, job)
 	jt.liveJobs++
-	jt.pendingTasks += len(job.tasks)
+	// The newest job sorts last, so appending keeps the index ordered.
+	if job.pending = len(job.tasks); job.pending > 0 {
+		jt.pendingJobs = append(jt.pendingJobs, job)
+	}
 	if jt.scheduler != nil {
 		jt.scheduler.JobSubmitted(job)
 	}
@@ -332,21 +375,34 @@ func (jt *JobTracker) Task(id TaskID) (*Task, bool) {
 	return t, ok
 }
 
-// PendingTasks returns tasks awaiting a slot, in (job submission, index)
-// order.
-func (jt *JobTracker) PendingTasks() []*Task {
-	return jt.PendingTasksInto(nil)
-}
-
-// PendingTasksInto appends the pending tasks to dst and returns it,
-// letting schedulers reuse one buffer across assignment rounds.
-func (jt *JobTracker) PendingTasksInto(dst []*Task) []*Task {
-	for _, j := range jt.jobList {
+// EachPending calls yield on the tasks awaiting a slot, in (job
+// submission, index) order, until yield returns false. It visits only
+// jobs with pending work, so a scheduler that stops once its free slots
+// are filled pays for what it assigns, not for the job history. yield
+// must not change task states.
+func (jt *JobTracker) EachPending(yield func(*Task) bool) {
+	for _, j := range jt.pendingJobs {
+		left := j.pending
 		for _, t := range j.tasks {
-			if t.state == TaskPending {
-				dst = append(dst, t)
+			if t.state != TaskPending {
+				continue
+			}
+			if !yield(t) {
+				return
+			}
+			if left--; left == 0 {
+				break
 			}
 		}
+	}
+}
+
+// PendingTasksInto appends the pending tasks to dst in EachPending order
+// and returns it, letting schedulers reuse one buffer across assignment
+// rounds.
+func (jt *JobTracker) PendingTasksInto(dst []*Task) []*Task {
+	for t := range jt.EachPending {
+		dst = append(dst, t)
 	}
 	return dst
 }
@@ -365,36 +421,51 @@ func (jt *JobTracker) setTaskState(t *Task, to TaskState) {
 	}
 }
 
-// noteTaskTransition maintains the quiescence bookkeeping on every task
-// state change: the global pending count, and — for tasks bound to a
-// registered tracker — the tracker's command-dirty flag, suspended
-// count and tasksOn cache validity.
+// noteTaskTransition maintains the indexes on every task state change:
+// the per-job pending counts and the pending-job list, and — for tasks bound to a
+// tracker — the tracker's tasksOn list, command-dirty flag and suspended
+// count. A task's tracker changes only while it is pending, so the view
+// of t.tracker is the one whose list holds the task.
 func (jt *JobTracker) noteTaskTransition(t *Task, from, to TaskState) {
 	if from == TaskPending {
-		jt.pendingTasks--
+		if t.job.pending--; t.job.pending == 0 {
+			i, _ := slices.BinarySearchFunc(jt.pendingJobs, t.job, bySeq)
+			jt.pendingJobs = slices.Delete(jt.pendingJobs, i, i+1)
+		}
 	}
 	if to == TaskPending {
-		jt.pendingTasks++
+		if t.job.pending++; t.job.pending == 1 {
+			i, _ := slices.BinarySearchFunc(jt.pendingJobs, t.job, bySeq)
+			jt.pendingJobs = slices.Insert(jt.pendingJobs, i, t.job)
+		}
 	}
 	if t.tracker == "" {
 		return
 	}
-	tt, ok := jt.trackers[t.tracker]
-	if !ok {
-		return
+	v := jt.trackers[t.tracker]
+	if v == nil {
+		v = &trackerView{}
+		jt.trackers[t.tracker] = v
 	}
-	tt.jtOnValid = false
+	if onFrom, onTo := onTracker(from), onTracker(to); onFrom != onTo {
+		i, _ := slices.BinarySearchFunc(v.on, t, byTaskID)
+		if onTo {
+			v.on = slices.Insert(v.on, i, t)
+		} else {
+			v.on = slices.Delete(v.on, i, i+1)
+		}
+	}
 	switch to {
 	case TaskMustSuspend, TaskMustResume, TaskKilled:
-		tt.jtCmdDirty = true
+		v.cmdDirty = true
 	}
 	fromSusp := from == TaskSuspended || from == TaskMustResume
 	toSusp := to == TaskSuspended || to == TaskMustResume
 	if fromSusp != toSusp {
 		if toSusp {
-			tt.jtSuspended++
+			v.suspended++
 		} else {
-			tt.jtSuspended--
+			v.suspended--
 		}
 	}
 }
@@ -557,17 +628,22 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 	// empty under those conditions, so skipping it is invisible: the
 	// heartbeat timer, progress reports and acknowledgements above are
 	// untouched, and output stays byte-identical with the path disabled.
-	tt := jt.trackers[status.TaskTracker]
-	if tt != nil && !jt.cfg.DisableQuiescentHeartbeats && !tt.jtCmdDirty &&
-		(status.FreeMapSlots == 0 || (jt.pendingTasks == 0 && tt.jtSuspended == 0)) {
+	v := jt.trackers[status.TaskTracker]
+	var tt *TaskTracker
+	if v != nil {
+		tt = v.tt
+	}
+	if tt != nil && !jt.cfg.DisableQuiescentHeartbeats && !v.cmdDirty &&
+		(status.FreeMapSlots == 0 || (len(jt.pendingJobs) == 0 && v.suspended == 0)) {
 		jt.actionScratch = jt.actionScratch[:0]
 		return jt.actionScratch
 	}
 
-	// 3. Pending commands for this tracker. tasksOn is computed once per
-	// heartbeat; step 4 re-filters it by current state rather than walking
-	// the jobs again.
-	on := jt.tasksOn(status.TaskTracker)
+	// 3. Pending commands for this tracker. The loop iterates a copy of
+	// the tasksOn index, because requeue removes tasks from it; step 4
+	// re-filters the copy by current state.
+	on := append(jt.onScratch[:0], jt.tasksOn(status.TaskTracker)...)
+	jt.onScratch = on
 	actions := jt.actionScratch[:0]
 	resumes := 0
 	for _, t := range on {
@@ -599,8 +675,8 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 	// The command scan above signalled every outstanding command for this
 	// tracker, so its dirty flag can drop. Cleared before step 4: Assign
 	// may issue new commands (ResumeTask) that must re-dirty it.
-	if tt != nil {
-		tt.jtCmdDirty = false
+	if v != nil {
+		v.cmdDirty = false
 	}
 
 	// 4. New assignments from the scheduler. Resumes issued above consume
@@ -616,7 +692,7 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 	if tt != nil {
 		info.Node = string(tt.node)
 		// Requeues in step 3 moved tasks to TaskPending, which the state
-		// filter below excludes — same result as recomputing tasksOn.
+		// filter below excludes — same result as re-reading tasksOn.
 		susp := jt.suspScratch[:0]
 		for _, t := range on {
 			if t.state == TaskSuspended || t.state == TaskMustResume {
@@ -652,58 +728,21 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 	return actions
 }
 
-// tasksOn returns live tasks whose current attempt is on the tracker, in
-// deterministic order. For registered trackers the sorted list is cached
-// and invalidated incrementally on task state changes (noteTaskTransition),
-// so back-to-back heartbeats with unchanged task state skip the job walk
-// and the sort. The returned slice is valid until the next call or state
-// change.
+// tasksOn returns the live or killed tasks whose current attempt is on
+// the tracker, sorted by task id. The slice is the tracker's index, which
+// noteTaskTransition edits in place: it is valid until the next task
+// state change.
 func (jt *JobTracker) tasksOn(tracker string) []*Task {
-	tt := jt.trackers[tracker]
-	if tt != nil && tt.jtOnValid {
-		return tt.jtOn
+	if v := jt.trackers[tracker]; v != nil {
+		return v.on
 	}
-	out := jt.onScratch[:0]
-	for _, j := range jt.jobList {
-		for _, t := range j.tasks {
-			if t.tracker == tracker && (t.state.Live() || t.state == TaskKilled) {
-				out = append(out, t)
-			}
-		}
-	}
-	if len(out) > 1 {
-		slices.SortFunc(out, func(a, b *Task) int { return compareTaskIDs(a.id, b.id) })
-	}
-	jt.onScratch = out
-	if tt != nil {
-		tt.jtOn = append(tt.jtOn[:0], out...)
-		tt.jtOnValid = true
-		return tt.jtOn
-	}
-	return out
+	return nil
 }
 
 // allJobsTerminal reports whether every submitted job reached a terminal
 // state. The cluster run loop calls it between every pair of events.
 func (jt *JobTracker) allJobsTerminal() bool {
 	return jt.liveJobs == 0
-}
-
-// SuspendedOn lists tasks suspended on the tracker (resume locality).
-func (jt *JobTracker) SuspendedOn(tracker string) []TaskID {
-	var out []TaskID
-	for _, j := range jt.jobList {
-		for _, t := range j.tasks {
-			if t.tracker != tracker {
-				continue
-			}
-			if t.state == TaskSuspended || t.state == TaskMustResume {
-				out = append(out, t.id)
-			}
-		}
-	}
-	slices.SortFunc(out, compareTaskIDs)
-	return out
 }
 
 // requeue returns a killed task to the pending queue, losing its work.

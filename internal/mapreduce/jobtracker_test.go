@@ -16,6 +16,7 @@ func newTestDevice(eng *sim.Engine) *disk.Device {
 // protoHarness drives the JobTracker protocol directly, without real
 // TaskTrackers, to exercise heartbeat edge cases.
 type protoHarness struct {
+	t   *testing.T
 	eng *sim.Engine
 	jt  *JobTracker
 	job *Job
@@ -29,7 +30,7 @@ func (s *stubScheduler) JobCompleted(*Job)             {}
 func (s *stubScheduler) TaskProgressed(*Task, float64) {}
 func (s *stubScheduler) Assign(tt TaskTrackerInfo) []Assignment {
 	var out []Assignment
-	for _, t := range s.jt.PendingTasks() {
+	for _, t := range s.jt.PendingTasksInto(nil) {
 		out = append(out, Assignment{Task: t.ID()})
 	}
 	return out
@@ -58,15 +59,22 @@ func newProtoHarness(t *testing.T) *protoHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &protoHarness{eng: eng, jt: jt, job: job}
+	return &protoHarness{t: t, eng: eng, jt: jt, job: job}
 }
 
 func (h *protoHarness) task() *Task { return h.job.MapTasks()[0] }
 
-// hb sends a heartbeat from "tt1" with the given report fields.
+// hb sends a heartbeat from "tt1", a tracker that never registered,
+// with the given report fields, and checks the JobTracker's indexes
+// against a full scan afterwards.
 func (h *protoHarness) hb(status HeartbeatStatus) []Action {
+	h.t.Helper()
 	status.TaskTracker = "tt1"
-	return h.jt.Heartbeat(status)
+	actions := h.jt.Heartbeat(status)
+	if err := h.jt.CheckIndexes(); err != nil {
+		h.t.Fatal(err)
+	}
+	return actions
 }
 
 func TestProtocolLaunchViaHeartbeat(t *testing.T) {

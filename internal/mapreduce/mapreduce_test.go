@@ -18,7 +18,7 @@ func (s *fifoTestScheduler) TaskProgressed(*Task, float64) {}
 func (s *fifoTestScheduler) Assign(tt TaskTrackerInfo) []Assignment {
 	var out []Assignment
 	free := tt.FreeMapSlots
-	for _, t := range s.jt.PendingTasks() {
+	for _, t := range s.jt.PendingTasksInto(nil) {
 		if free <= 0 {
 			break
 		}

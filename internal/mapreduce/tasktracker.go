@@ -57,18 +57,9 @@ type TaskTracker struct {
 	redProgFree     []*reduceProgram
 	cleanupProgFree []*cleanupProgram
 
-	// Quiescence bookkeeping, owned by the JobTracker (stored here to
-	// avoid a parallel per-tracker table). jtCmdDirty is set when a task
-	// on this tracker enters a command state (MUST_SUSPEND, MUST_RESUME,
-	// KILLED) and cleared once a heartbeat's command scan has drained it.
-	// jtSuspended counts tasks in {SUSPENDED, MUST_RESUME} whose attempt
-	// lives here (resume locality makes these tracker-bound). jtOn caches
-	// the sorted tasksOn list; jtOnValid is dropped on any state change
-	// of a task bound to this tracker.
-	jtCmdDirty  bool
-	jtSuspended int
-	jtOn        []*Task
-	jtOnValid   bool
+	// jtView is the JobTracker's bookkeeping for this tracker, stored
+	// here so it is recycled with the shell.
+	jtView trackerView
 }
 
 // liveAttempt is a task attempt with a live process on this tracker.
@@ -134,11 +125,8 @@ func (tt *TaskTracker) release() {
 	tt.hbTimer = sim.Timer{}
 	tt.started = false
 	tt.heartbeats = 0
-	tt.jtCmdDirty = false
-	tt.jtSuspended = 0
-	clear(tt.jtOn)
-	tt.jtOn = tt.jtOn[:0]
-	tt.jtOnValid = false
+	clear(tt.jtView.on)
+	tt.jtView = trackerView{on: tt.jtView.on[:0]}
 	ttPool.Put(tt)
 }
 

@@ -9,6 +9,9 @@ import (
 // simply queues behind running work.
 type FIFO struct {
 	jt *mapreduce.JobTracker
+	// out is reused across Assign calls; the JobTracker consumes the
+	// assignments before the next call.
+	out []mapreduce.Assignment
 }
 
 var _ mapreduce.Scheduler = (*FIFO)(nil)
@@ -27,19 +30,23 @@ func (f *FIFO) JobCompleted(*mapreduce.Job) {}
 // TaskProgressed implements mapreduce.Scheduler.
 func (f *FIFO) TaskProgressed(*mapreduce.Task, float64) {}
 
-// Assign implements mapreduce.Scheduler.
+// Assign implements mapreduce.Scheduler. It walks the pending tasks in
+// submission order and stops once the free slots are filled.
 func (f *FIFO) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
-	var out []mapreduce.Assignment
 	free := tt.FreeMapSlots
-	for _, t := range f.jt.PendingTasks() {
-		if free <= 0 {
-			break
-		}
+	if free <= 0 {
+		return nil
+	}
+	out := f.out[:0]
+	for t := range f.jt.EachPending {
 		if t.ID().Type == mapreduce.ReduceTask && !mapsDone(t.Job()) {
 			continue
 		}
 		out = append(out, mapreduce.Assignment{Task: t.ID()})
-		free--
+		if free--; free == 0 {
+			break
+		}
 	}
+	f.out = out
 	return out
 }

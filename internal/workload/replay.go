@@ -211,7 +211,8 @@ func (b *ReplayBackend) Cell(pt sweep.Point, rec *sweep.Recorder) error {
 		return err
 	}
 	if !cluster.RunUntilPlannedJobsDone(len(specs), b.cfg.Deadline) {
-		return fmt.Errorf("workload: replay shard did not converge within %v", b.cfg.Deadline)
+		return fmt.Errorf("workload: replay shard did not converge within %v: %s",
+			b.cfg.Deadline, b.clusterLoad(cluster, len(specs)))
 	}
 	byName := make(map[string]*mapreduce.Job, len(specs))
 	for _, j := range cluster.JobTracker().Jobs() {
@@ -290,4 +291,34 @@ func (b *ReplayBackend) installScheduler(cluster *mapreduce.Cluster) error {
 		jt.SetScheduler(hfsp)
 	}
 	return nil
+}
+
+// clusterLoad describes how far a replay got and how loaded the
+// cluster is, so a shard that misses its deadline shows whether it was
+// overloaded (a backlog of pending tasks behind busy slots, jobs still
+// completing) or stalled (no recent completion, idle slots).
+func (b *ReplayBackend) clusterLoad(cluster *mapreduce.Cluster, planned int) string {
+	jobs := cluster.JobTracker().Jobs()
+	completed, pending := 0, 0
+	var last time.Duration
+	for _, j := range jobs {
+		if s := j.State(); s == mapreduce.JobSucceeded || s == mapreduce.JobFailed {
+			completed++
+			last = max(last, j.CompletedAt())
+		}
+		for i := 0; i < j.NumTasks(); i++ {
+			if j.TaskAt(i).State() == mapreduce.TaskPending {
+				pending++
+			}
+		}
+	}
+	slots := cluster.NumNodes() * b.cfg.SlotsPerNode
+	busy := slots
+	for i := 0; i < cluster.NumNodes(); i++ {
+		busy -= cluster.Node(i).Tracker.FreeMapSlots()
+	}
+	return fmt.Sprintf("at virtual time %v, %d of %d jobs submitted, %d completed (the last at %v), "+
+		"%d live; %d pending tasks, %d of %d slots busy",
+		cluster.Engine().Now(), len(jobs), planned, completed, last, len(jobs)-completed,
+		pending, busy, slots)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,5 +211,29 @@ func TestSynthesizeTraceShape(t *testing.T) {
 	}
 	if other[0] == a[0] && other[1] == a[1] {
 		t.Fatal("seed does not vary the trace")
+	}
+}
+
+// TestReplayNonConvergenceExplainsLoad: a shard that misses its
+// deadline reports how far it got and how loaded the cluster was, so an
+// overloaded cell can be told from a stuck one.
+func TestReplayNonConvergenceExplainsLoad(t *testing.T) {
+	jobs, err := ReadTraceFile(sampleTracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewReplayBackend(ReplayConfig{Jobs: jobs, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sweep.RunBackend(b, sweep.Options{Parallel: 1, Seed: 1}, sweep.RepAxis)
+	if err == nil {
+		t.Fatal("replay converged within a one-minute deadline")
+	}
+	for _, want := range []string{"did not converge within 1m0s", "at virtual time ",
+		"jobs submitted", "completed (the last at", "live", "pending tasks", "of 4 slots busy"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -2,6 +2,10 @@ package hadooppreempt_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	hp "hadooppreempt"
@@ -303,5 +307,44 @@ func TestQuiescentHeartbeatParity(t *testing.T) {
 		if len(fast) == 0 {
 			t.Fatalf("%s: empty output", v.name)
 		}
+	}
+}
+
+// TestLargeTraceReplayGoldenHash runs the large-trace replay smoke run
+// (`hadoopsim -backend replay -trace-gen 1200 -trace-shards 3
+// -replay-timescale 10 -replay-window 64 -reps 1 -seed 1 -format csv`,
+// `make replay-check`) in process and checks its CSV against the
+// committed hash golden.
+func TestLargeTraceReplayGoldenHash(t *testing.T) {
+	want, err := os.ReadFile("goldens/replay_trace1200.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := hp.SynthesizeSWIMTrace(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := hp.ReplaySweep(hp.ReplayConfig{
+		Jobs:      trace,
+		Shards:    3,
+		Reps:      1,
+		Scheduler: "fifo",
+		TimeScale: 10,
+		Window:    64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := hp.RunSweepBackend(backend, hp.SweepOptions{Parallel: 3, Seed: 1}, "rep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := col.Write(&out, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(out.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("large-trace replay hash %s != golden %s", got, strings.TrimSpace(string(want)))
 	}
 }
