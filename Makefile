@@ -65,13 +65,16 @@ sweep-check:
 		/tmp/sweep-shard-2.json /tmp/sweep-shard-0.json /tmp/sweep-shard-1.json > /tmp/sweep-merged.csv
 	cmp /tmp/sweep-p1.csv /tmp/sweep-merged.csv
 
-# Backend parity (mirrors the CI backend-parity job): sim backend
-# byte-identical to the committed golden, replay backend deterministic
-# across -parallel and -shard/-merge, real backend smoke run.
+# Backend parity (mirrors the CI backend-parity job): sim backend and
+# figure generators byte-identical to the committed goldens, replay
+# backend deterministic across -parallel and -shard/-merge, real
+# backend smoke run.
 backend-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -backend sim -sweep twojob -reps 20 -seed 1 -format csv \
 		| cmp goldens/grid_twojob_reps20.csv -
+	$(GO) run ./cmd/preemptbench -fig all -reps 20 -seed 1 -format json \
+		| cmp goldens/figures_reps20.json -
 	/tmp/hadoopsim-ci -backend replay -trace goldens/swim_sample.tsv \
 		-reps 3 -seed 1 -parallel 1 -format csv > /tmp/replay-p1.csv
 	/tmp/hadoopsim-ci -backend replay -trace goldens/swim_sample.tsv \

@@ -398,12 +398,12 @@ func benchReplay(b *testing.B, jobs int) *hp.SweepCollapsed {
 	return col
 }
 
-// BenchmarkSweepCollapse contrasts per-cell allocations of the legacy
-// materialize-then-collapse path against the streaming-collapse path on
-// a synthetic grid, so harness overhead — not simulation cost — is what
-// is measured. The allocs/cell metrics land in BENCH_sweep.json but are
-// exempt from golden gating (allocator behavior may drift with the
-// toolchain).
+// BenchmarkSweepCollapse measures per-cell allocations of the
+// streaming-collapse path on a synthetic grid, so harness overhead —
+// not simulation cost — is what is measured. The allocs/cell metric
+// lands in BENCH_sweep.json but is exempt from golden gating
+// (allocator behavior may drift with the toolchain); the sweep package
+// test TestStreamingCollapseAllocsPerCell holds it to at most one.
 func BenchmarkSweepCollapse(b *testing.B) {
 	grid := func() sweep.Grid {
 		return sweep.NewGrid(
@@ -413,31 +413,10 @@ func BenchmarkSweepCollapse(b *testing.B) {
 		).Pair("prim")
 	}
 	cells := float64(grid().Size())
-	measure := func(b *testing.B, run func()) {
+	b.Run("stream", func(b *testing.B) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/cells, "allocs/cell")
-	}
-	b.Run("legacy", func(b *testing.B) {
-		measure(b, func() {
-			res, err := sweep.Run(grid(), func(pt sweep.Point) (sweep.Outcome, error) {
-				v := float64(pt.Seed >> 12)
-				return sweep.Outcome{Values: map[string]float64{
-					"sojourn_s": v, "makespan_s": 2 * v,
-				}}, nil
-			}, sweep.Options{Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res.Collapse(sweep.RepAxis)
-		})
-	})
-	b.Run("stream", func(b *testing.B) {
-		measure(b, func() {
 			_, err := sweep.RunCollapsed(grid(), func(pt sweep.Point, rec *sweep.Recorder) error {
 				v := float64(pt.Seed >> 12)
 				rec.Observe("sojourn_s", v)
@@ -447,7 +426,9 @@ func BenchmarkSweepCollapse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-		})
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/cells, "allocs/cell")
 	})
 }
 

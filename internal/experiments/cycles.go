@@ -183,27 +183,22 @@ func CycleSweep(maxCycles int, stateful bool, cfg Config) ([]*CycleResult, error
 		counts = append(counts, n)
 	}
 	g := sweep.NewGrid(sweep.Ints("cycles", counts...)).Pair("cycles")
-	res, err := sweep.Run(g, func(pt sweep.Point) (sweep.Outcome, error) {
+	// Each cell writes only its own element; RunCollapsed returns after
+	// every cell has finished.
+	out := make([]*CycleResult, g.Size())
+	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
 		p := DefaultCycleParams(pt.Int("cycles"))
 		p.Stateful = stateful
 		p.Seed = pt.Seed
 		r, err := RunCycles(p)
 		if err != nil {
-			return sweep.Outcome{}, err
+			return err
 		}
-		return sweep.Outcome{Values: map[string]float64{
-			"cycles":         float64(r.Cycles),
-			"tl_sojourn_s":   r.TLSojourn.Seconds(),
-			"tl_swap_out_mb": float64(r.TLSwapOut) / float64(1<<20),
-			"tl_swap_in_mb":  float64(r.TLSwapIn) / float64(1<<20),
-		}, Extra: r}, nil
+		out[pt.Index] = r
+		return nil
 	}, cfg.options())
 	if err != nil {
 		return nil, err
-	}
-	out := make([]*CycleResult, 0, len(res.Points))
-	for _, pr := range res.Points {
-		out = append(out, pr.Outcome.Extra.(*CycleResult))
 	}
 	return out, nil
 }

@@ -163,27 +163,19 @@ func RunEvictionComparison(policyName string, seed uint64) (*EvictionResult, err
 // contention scenario, so outcome differences are pure policy effect.
 func EvictionSweep(policies []string, cfg Config) ([]*EvictionResult, error) {
 	g := sweep.NewGrid(sweep.Strings("policy", policies...)).Pair("policy")
-	res, err := sweep.Run(g, func(pt sweep.Point) (sweep.Outcome, error) {
+	// Each cell writes only its own element; RunCollapsed returns after
+	// every cell has finished.
+	out := make([]*EvictionResult, g.Size())
+	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
 		r, err := RunEvictionComparison(pt.Label("policy"), pt.Seed)
 		if err != nil {
-			return sweep.Outcome{}, err
+			return err
 		}
-		return sweep.Outcome{
-			Values: map[string]float64{
-				"makespan_s":     r.Makespan.Seconds(),
-				"sojourn_th_s":   r.SojournTH.Seconds(),
-				"victim_swap_mb": float64(r.VictimSwap) / float64(1<<20),
-			},
-			Labels: map[string]string{"victim": r.Victim},
-			Extra:  r,
-		}, nil
+		out[pt.Index] = r
+		return nil
 	}, cfg.options())
 	if err != nil {
 		return nil, err
-	}
-	out := make([]*EvictionResult, 0, len(res.Points))
-	for _, pr := range res.Points {
-		out = append(out, pr.Outcome.Extra.(*EvictionResult))
 	}
 	return out, nil
 }
@@ -204,22 +196,28 @@ type AdvisorResult struct {
 // runs all three fixed primitives through the harness (seed-paired on
 // the primitive axis) and attaches the advisor's choice.
 func RunAdvisorSweep(rs []float64, cfg Config) ([]*AdvisorResult, error) {
+	prims := core.Primitives()
 	g := sweep.NewGrid(
 		sweep.Floats("r", rs...),
-		sweep.Stringers("prim", core.Primitives()...),
+		sweep.Stringers("prim", prims...),
 	).Pair("prim")
-	res, err := sweep.Run(g, func(pt sweep.Point) (sweep.Outcome, error) {
+	// Cell (r_i, prim_j) sits at grid index i*len(prims)+j. Each cell
+	// writes only its own element; RunCollapsed returns after every cell
+	// has finished.
+	makespans := make([]time.Duration, g.Size())
+	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
 		p := DefaultTwoJobParams()
 		p.Primitive = pt.Value("prim").(core.Primitive)
 		p.PreemptAt = pt.Float("r")
 		p.Seed = pt.Seed
 		run, err := RunTwoJob(p)
 		if err != nil {
-			return sweep.Outcome{}, err
+			return err
 		}
-		return sweep.Outcome{Values: map[string]float64{
-			"makespan_s": run.Makespan.Seconds(),
-		}}, nil
+		// Kept at float-seconds precision, the precision the figures
+		// golden records.
+		makespans[pt.Index] = time.Duration(run.Makespan.Seconds() * float64(time.Second))
+		return nil
 	}, cfg.options())
 	if err != nil {
 		return nil, err
@@ -228,21 +226,14 @@ func RunAdvisorSweep(rs []float64, cfg Config) ([]*AdvisorResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	byR := make(map[float64]*AdvisorResult)
-	var out []*AdvisorResult
-	for _, pr := range res.Points {
-		r := pr.Point.Float("r")
-		ar, ok := byR[r]
-		if !ok {
-			ar = &AdvisorResult{R: r, Makespans: make(map[string]time.Duration)}
-			byR[r] = ar
-			out = append(out, ar)
-		}
-		mk := time.Duration(pr.Outcome.Values["makespan_s"] * float64(time.Second))
-		ar.Makespans[pr.Point.Label("prim")] = mk
-	}
+	out := make([]*AdvisorResult, len(rs))
 	victim := make([]advisor.Candidate, 1)
-	for _, ar := range out {
+	for i, r := range rs {
+		ar := &AdvisorResult{R: r, Makespans: make(map[string]time.Duration, len(prims)+1)}
+		for j, prim := range prims {
+			ar.Makespans[prim.String()] = makespans[i*len(prims)+j]
+		}
+		out[i] = ar
 		victim[0] = advisor.Candidate{ID: "tl", Progress: ar.R}
 		ar.Chosen = adv.Decide(advisor.Request{Candidates: victim}).Primitive
 		ar.Makespans["advisor"] = ar.Makespans[ar.Chosen.String()]

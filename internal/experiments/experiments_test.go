@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,32 @@ func TestFigure1GanttCharts(t *testing.T) {
 	}
 	if !strings.Contains(res.Gantt["kill"], "c") {
 		t.Fatalf("kill gantt should show a cleanup span:\n%s", res.Gantt["kill"])
+	}
+}
+
+// TestSliceResultGeneratorsParallelMatchSerial runs the generators whose
+// cells write typed results into a caller-owned slice at their grid
+// index, at -parallel 4 and serially: the results must be identical
+// (and, under -race, the concurrent writes race-free).
+func TestSliceResultGeneratorsParallelMatchSerial(t *testing.T) {
+	gens := map[string]func(Config) (any, error){
+		"figure1":  func(c Config) (any, error) { return Figure1(c) },
+		"cycles":   func(c Config) (any, error) { return CycleSweep(2, false, c) },
+		"eviction": func(c Config) (any, error) { return EvictionSweep([]string{"smallest-memory", "largest-memory"}, c) },
+		"advisor":  func(c Config) (any, error) { return RunAdvisorSweep([]float64{0.02, 0.5}, c) },
+	}
+	for name, gen := range gens {
+		serial, err := gen(Config{Seed: 5, Parallel: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		parallel, err := gen(Config{Seed: 5, Parallel: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("%s: -parallel 4 result differs from the serial one", name)
+		}
 	}
 }
 

@@ -113,20 +113,6 @@ func TwoJobCellInto(pt sweep.Point, tlMem, thMem int64, rec *sweep.Recorder) err
 	return nil
 }
 
-// TwoJobCell is the materializing form of TwoJobCellInto, for harness
-// paths that retain per-cell outcomes; Extra carries the raw result.
-func TwoJobCell(pt sweep.Point, tlMem, thMem int64) (sweep.Outcome, error) {
-	out, err := RunTwoJob(twoJobParams(pt, tlMem, thMem))
-	if err != nil {
-		return sweep.Outcome{}, err
-	}
-	var rec sweep.Recorder
-	recordTwoJob(&rec, out)
-	o := rec.Outcome()
-	o.Extra = out
-	return o, nil
-}
-
 // runComparison sweeps r for every primitive with the given memory
 // configuration — the shared engine behind Figures 2 and 3. It streams
 // cell outcomes straight into per-(prim, r) aggregates.
@@ -273,24 +259,29 @@ type Figure1Result struct {
 // Figure1 renders the task execution schedules for the three primitives
 // at r=50%.
 func Figure1(cfg Config) (*Figure1Result, error) {
-	g := sweep.NewGrid(sweep.Stringers("prim", core.Primitives()...)).Pair("prim")
-	res, err := sweep.Run(g, func(pt sweep.Point) (sweep.Outcome, error) {
+	prims := core.Primitives()
+	g := sweep.NewGrid(sweep.Stringers("prim", prims...)).Pair("prim")
+	// Each cell writes only its own element; RunCollapsed returns after
+	// every cell has finished.
+	charts := make([]string, g.Size())
+	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
 		p := DefaultTwoJobParams()
 		p.Primitive = pt.Value("prim").(core.Primitive)
 		p.PreemptAt = 0.5
 		p.Seed = pt.Seed
 		out, err := RunTwoJob(p)
 		if err != nil {
-			return sweep.Outcome{}, err
+			return err
 		}
-		return sweep.Outcome{Extra: out.Trace.Gantt(72)}, nil
+		charts[pt.Index] = out.Trace.Gantt(72)
+		return nil
 	}, cfg.options())
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure1Result{Gantt: make(map[string]string)}
-	for _, pr := range res.Points {
-		out.Gantt[pr.Point.Label("prim")] = pr.Outcome.Extra.(string)
+	out := &Figure1Result{Gantt: make(map[string]string, len(prims))}
+	for i, prim := range prims {
+		out.Gantt[prim.String()] = charts[i]
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -128,17 +127,6 @@ type EngineConfig struct {
 	DisableQuiescentHeartbeats bool
 }
 
-// quiescentHeartbeatsOff is the process-wide default that
-// DefaultEngineConfig copies into DisableQuiescentHeartbeats. Sweep
-// cells build their cluster configs internally, so the determinism
-// tests flip this to run whole sweeps down the slow path.
-var quiescentHeartbeatsOff atomic.Bool
-
-// SetQuiescentHeartbeats sets the process-wide default for the
-// heartbeat fast path picked up by DefaultEngineConfig. It exists for
-// determinism tests; both settings produce identical results.
-func SetQuiescentHeartbeats(on bool) { quiescentHeartbeatsOff.Store(!on) }
-
 // DefaultEngineConfig mirrors a 2014 Hadoop 1 deployment with out-of-band
 // heartbeats on.
 func DefaultEngineConfig() EngineConfig {
@@ -154,8 +142,6 @@ func DefaultEngineConfig() EngineConfig {
 		MaxTaskAttempts:        4,
 		ConnectionTeardownCost: 30 * time.Millisecond,
 		ConnectionSetupCost:    60 * time.Millisecond,
-
-		DisableQuiescentHeartbeats: quiescentHeartbeatsOff.Load(),
 	}
 }
 

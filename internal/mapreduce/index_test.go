@@ -109,7 +109,7 @@ func runIndexCase(t *testing.T, c indexCase, seed uint64, edges *edgeCases) {
 		conf.NumReduces, conf.MapOutputRatio = 1, 0.5
 		conf.ReduceRate, conf.ShuffleSortRate = 32e6, 32e6
 	}
-	if _, err := workload.Install(cluster, specs); err != nil {
+	if _, err := workload.InstallWindowed(cluster, specs, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"io"
-	"slices"
 )
 
 // Accumulator folds disjoint partial results of one sweep into a single
@@ -15,12 +14,12 @@ import (
 //
 // Because group aggregates retain raw sample multisets and Summarize
 // orders samples before computing anything, absorb order never affects
-// the finalized result: absorbing parts as they arrive renders
-// byte-identically to MergeSubsets over the same parts in lease order,
-// for every encoder. The running state serializes with WriteShard,
-// which is what makes a coordinator checkpoint both durable and exact —
-// a restarted coordinator resumes from the deserialized aggregate and
-// still produces the single-process bytes.
+// the finalized result: absorbing parts as they arrive, in any order,
+// renders byte-identically to a single-process run for every encoder.
+// The running state serializes with WriteShard, which is what makes a
+// coordinator checkpoint both durable and exact — a restarted
+// coordinator resumes from the deserialized aggregate and still
+// produces the single-process bytes.
 type Accumulator struct {
 	c   *Collapsed
 	ran int
@@ -38,55 +37,16 @@ func NewAccumulator(g Grid, seed uint64, collapse ...string) (*Accumulator, erro
 // Absorb folds one partial result of the sweep into the running
 // aggregate. The part must describe the same sweep (seed, grid size,
 // axis sets, group identities); Absorb validates that and rejects a
-// part that re-runs a group's first cell the aggregate already holds —
-// the same overlap tripwire mergeParts uses. Callers that hand out the
-// cell partition own true disjointness, exactly as with MergeSubsets.
+// part that re-runs a group's first cell the aggregate already holds.
+// A rejected part leaves the aggregate unchanged. Callers that hand
+// out the cell partition own true disjointness.
 func (a *Accumulator) Absorb(part *Collapsed) error {
 	if part.Shard.Count > 1 {
 		return fmt.Errorf("sweep: absorb of shard slice %s (use Merge)", part.Shard)
 	}
-	c := a.c
-	if part.Seed != c.Seed || part.cells != c.cells ||
-		!slices.Equal(part.CollapsedAxes, c.CollapsedAxes) ||
-		!slices.Equal(part.GroupAxes, c.GroupAxes) ||
-		len(part.Groups) != len(c.Groups) {
-		return fmt.Errorf("sweep: part is not a slice of the same sweep")
-	}
-	ran := 0
-	for gi, pg := range part.Groups {
-		g := c.Groups[gi]
-		if pg.Key != g.Key || pg.firstIndex != g.firstIndex {
-			return fmt.Errorf("sweep: part group %d is %q, want %q", gi, pg.Key, g.Key)
-		}
-		if pg.hasFirst && g.hasFirst {
-			return fmt.Errorf("sweep: group %d first cell present twice (overlapping parts)", gi)
-		}
-		ran += pg.Count
-	}
-	for gi, pg := range part.Groups {
-		g := c.Groups[gi]
-		g.Count += pg.Count
-		for id, samples := range pg.samples {
-			if len(samples) == 0 {
-				continue
-			}
-			name := part.names[id]
-			oid, ok := c.ids[name]
-			if !ok {
-				oid = len(c.names)
-				c.ids[name] = oid
-				c.names = append(c.names, name)
-			}
-			for oid >= len(g.samples) {
-				g.samples = append(g.samples, nil)
-			}
-			g.samples[oid] = append(g.samples[oid], samples...)
-		}
-		if pg.hasFirst {
-			g.hasFirst = true
-			g.Extra = pg.Extra
-			g.First = pg.First
-		}
+	ran, err := a.c.absorb(part)
+	if err != nil {
+		return err
 	}
 	a.ran += ran
 	return nil

@@ -49,19 +49,11 @@ func (b FuncBackend) Cell(p Point, rec *Recorder) error { return b.Run(p, rec) }
 func RunBackend(b Backend, opts Options, collapse ...string) (*Collapsed, error) {
 	d := opts.dispatcher()
 	if opts.Cache != nil {
-		cb := CacheBinding{
+		d.Cache = CacheBinding{
 			Cache:   opts.Cache,
 			Backend: b.Name(),
 			FP:      BackendFingerprint(b),
 			Bypass:  IsVolatile(b),
-		}
-		switch dd := d.(type) {
-		case PoolDispatcher:
-			dd.Cache = cb
-			d = dd
-		case ShardDispatcher:
-			dd.Cache = cb
-			d = dd
 		}
 	}
 	return DispatchBackend(b, d, opts.Seed, collapse...)
@@ -82,7 +74,7 @@ func BackendFingerprint(b Backend) string {
 }
 
 // DispatchBackend executes the backend's grid through an arbitrary
-// dispatcher — the in-process pool, the static shard slicer, or the
+// dispatcher — the in-process pool (whole grid or one shard) or the
 // distributed coordinator — collapsing the named axes. It is the one
 // entry point behind local, sharded and multi-machine sweeps.
 func DispatchBackend(b Backend, d Dispatcher, seed uint64, collapse ...string) (*Collapsed, error) {

@@ -7,12 +7,12 @@ import (
 	"hadooppreempt/internal/metrics"
 )
 
-// The streaming-collapse engine folds outcomes into per-group aggregates
-// as cells complete, instead of materializing every cell's Outcome and
-// regrouping afterwards. Metric names are interned to dense ids, group
-// membership is arithmetic on grid coordinates, and each worker reuses
-// one Recorder across its cells, so a full 20-repetition grid runs with
-// near-constant allocation per cell. Aggregates retain the raw sample
+// The streaming-collapse engine folds measurements into per-group
+// aggregates as cells complete; no cell's outcome is retained. Metric
+// names are interned to dense ids, group membership is arithmetic on
+// grid coordinates, and each worker reuses one Recorder across its
+// cells, so a full 20-repetition grid runs with near-constant
+// allocation per cell. Aggregates retain the raw sample
 // multiset per (group, metric); because Summarize orders samples before
 // computing anything, aggregates built from disjoint cell subsets merge
 // — in any order — into results byte-identical to a single pass, which
@@ -36,31 +36,11 @@ func (r *Recorder) Observe(name string, v float64) {
 }
 
 // Label records a categorical result (e.g. the chosen victim). Labels
-// are retained for the group's first cell in grid order, mirroring the
-// Aggregate.First semantics of the materializing path.
+// are retained for the group's first cell in grid order (see
+// Group.Extra).
 func (r *Recorder) Label(key, value string) {
 	r.labelKeys = append(r.labelKeys, key)
 	r.labelVals = append(r.labelVals, value)
-}
-
-// Outcome converts the recording into the materializing path's map
-// form. Only the compatibility adapters need it; the streaming path
-// never builds these maps.
-func (r *Recorder) Outcome() Outcome {
-	o := Outcome{}
-	if len(r.names) > 0 {
-		o.Values = make(map[string]float64, len(r.names))
-		for i, n := range r.names {
-			o.Values[n] = r.vals[i]
-		}
-	}
-	if len(r.labelKeys) > 0 {
-		o.Labels = make(map[string]string, len(r.labelKeys))
-		for i, k := range r.labelKeys {
-			o.Labels[k] = r.labelVals[i]
-		}
-	}
-	return o
 }
 
 func (r *Recorder) reset() {
@@ -70,45 +50,11 @@ func (r *Recorder) reset() {
 	r.labelVals = r.labelVals[:0]
 }
 
-// record replays an Outcome into the recorder in sorted key order, so
-// adapted map-based runs stay deterministic.
-func (r *Recorder) record(o Outcome) {
-	keys := make([]string, 0, len(o.Values))
-	for k := range o.Values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r.Observe(k, o.Values[k])
-	}
-	keys = keys[:0]
-	for k := range o.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r.Label(k, o.Labels[k])
-	}
-}
-
 // CellFunc executes one scenario cell, reporting measurements through
-// rec. Like RunFunc, implementations must build isolated state from
-// p.Seed: the harness calls them from multiple goroutines.
+// rec. Implementations must build their own isolated simulation state
+// (engine, cluster, ...) seeded from p.Seed or p.RNG(): the harness
+// calls them from multiple goroutines and shares nothing between cells.
 type CellFunc func(p Point, rec *Recorder) error
-
-// OutcomeCell adapts a map-based RunFunc to the streaming interface.
-// The adapter still pays the per-cell map allocations of the legacy
-// path; native CellFunc implementations avoid them.
-func OutcomeCell(run RunFunc) CellFunc {
-	return func(p Point, rec *Recorder) error {
-		o, err := run(p)
-		if err != nil {
-			return err
-		}
-		rec.record(o)
-		return nil
-	}
-}
 
 // Group is one cell group of a Collapsed result: the cells sharing
 // coordinates on every non-collapsed axis.
@@ -327,21 +273,4 @@ func (c *Collapsed) GroupOfCell(cell int) (gi int, ok bool) {
 // byte-identical to an unsharded run.
 func RunCollapsed(g Grid, run CellFunc, opts Options, collapse ...string) (*Collapsed, error) {
 	return opts.dispatcher().Dispatch(g, run, opts.Seed, collapse...)
-}
-
-// Collapsed folds the materialized result into the streaming aggregate
-// form, grouping over the named axes. It exists so the legacy
-// Run+Collapse path and the streaming path share one grouping and
-// encoding implementation (and therefore produce identical bytes).
-func (r *Result) Collapsed(collapse ...string) *Collapsed {
-	c := newCollapsed(&r.Grid, r.Seed, collapse)
-	rec := &Recorder{}
-	for i := range r.Points {
-		pr := &r.Points[i]
-		rec.reset()
-		rec.record(pr.Outcome)
-		c.fold(pr.Point, rec)
-	}
-	c.finalize()
-	return c
 }

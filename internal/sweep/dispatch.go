@@ -10,8 +10,8 @@ import (
 // A Dispatcher owns placement and parallelism — which process runs
 // which cells, and when — while the collapse engine owns measurement
 // semantics (coordinate-derived seeds, streaming group folds, exact
-// merges). The in-process worker pool, the static -shard slicer, and
-// the distributed coordinator (internal/coord) are three dispatchers
+// merges). The in-process worker pool (whole grid or one -shard slice)
+// and the distributed coordinator (internal/coord) are two dispatchers
 // behind one entry point, so local, sharded and multi-machine sweeps
 // share every determinism guarantee.
 
@@ -51,43 +51,35 @@ func (cb CacheBinding) bind(g Grid, seed uint64) *SweepCache {
 	return cb.Cache.Sweep(cb.Backend, cb.FP, g, seed)
 }
 
-// PoolDispatcher runs every cell of the grid through an in-process
-// worker pool of Parallel goroutines (values below 1 run serially),
-// consulting the bound cell-result cache — when one is configured —
-// before executing each cell.
-type PoolDispatcher struct {
-	Parallel int
-	Cache    CacheBinding
-}
-
-// Dispatch implements Dispatcher.
-func (d PoolDispatcher) Dispatch(g Grid, run CellFunc, seed uint64, collapse ...string) (*Collapsed, error) {
-	return RunCells(g, d.Cache.bind(g, seed).WrapCell(run), seed, d.Parallel, nil, collapse...)
-}
-
-// ShardDispatcher runs the seed-stable slice of the grid selected by
-// Shard through an in-process worker pool, producing a partial result
-// that merges with its sibling shards (see Merge) into output
+// PoolDispatcher runs the seed-stable slice of the grid selected by
+// Shard through an in-process worker pool of Parallel goroutines
+// (values below 1 run serially), consulting the bound cell-result
+// cache — when one is configured — before executing each cell. The
+// zero Shard runs every cell; any other shard produces a partial
+// result that merges with its sibling shards (see Merge) into output
 // byte-identical to an unsharded run.
-type ShardDispatcher struct {
+type PoolDispatcher struct {
 	Shard    Shard
 	Parallel int
 	Cache    CacheBinding
 }
 
 // Dispatch implements Dispatcher.
-func (d ShardDispatcher) Dispatch(g Grid, run CellFunc, seed uint64, collapse ...string) (*Collapsed, error) {
-	if err := d.Shard.validate(); err != nil {
-		return nil, err
-	}
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	size := g.Size()
-	cells := make([]int, 0, size/max(d.Shard.Count, 1)+1)
-	for i := 0; i < size; i++ {
-		if d.Shard.owns(i) {
-			cells = append(cells, i)
+func (d PoolDispatcher) Dispatch(g Grid, run CellFunc, seed uint64, collapse ...string) (*Collapsed, error) {
+	var cells []int // nil runs the whole grid
+	if d.Shard != (Shard{}) {
+		if err := d.Shard.validate(); err != nil {
+			return nil, err
+		}
+		if err := g.validate(); err != nil {
+			return nil, err
+		}
+		size := g.Size()
+		cells = make([]int, 0, size/max(d.Shard.Count, 1)+1)
+		for i := 0; i < size; i++ {
+			if d.Shard.owns(i) {
+				cells = append(cells, i)
+			}
 		}
 	}
 	c, err := RunCells(g, d.Cache.bind(g, seed).WrapCell(run), seed, d.Parallel, cells, collapse...)
@@ -99,16 +91,11 @@ func (d ShardDispatcher) Dispatch(g Grid, run CellFunc, seed uint64, collapse ..
 }
 
 // dispatcher resolves the options to the in-process dispatcher they
-// describe: the static shard slicer when a shard is set, the plain
-// worker pool otherwise. The cache binding carries the store only; the
-// backend identity is filled in by RunBackend, which knows the backend
+// describe. The cache binding carries the store only; the backend
+// identity is filled in by RunBackend, which knows the backend
 // (grid-level entry points cache under an empty backend name).
-func (o Options) dispatcher() Dispatcher {
-	cb := CacheBinding{Cache: o.Cache}
-	if o.Shard != (Shard{}) {
-		return ShardDispatcher{Shard: o.Shard, Parallel: o.Parallel, Cache: cb}
-	}
-	return PoolDispatcher{Parallel: o.Parallel, Cache: cb}
+func (o Options) dispatcher() PoolDispatcher {
+	return PoolDispatcher{Shard: o.Shard, Parallel: o.Parallel, Cache: CacheBinding{Cache: o.Cache}}
 }
 
 // RunCells executes the given grid cell indices through a worker pool
@@ -117,7 +104,7 @@ func (o Options) dispatcher() Dispatcher {
 // slice runs exactly those cells (each at most once), which is how the
 // distributed worker executes a leased batch. Every group of the grid
 // is present in the result even if none of its cells ran, so partial
-// results align for merging (see Merge and MergeSubsets).
+// results align for merging (see Merge and Accumulator).
 func RunCells(g Grid, run CellFunc, seed uint64, parallel int, cells []int, collapse ...string) (*Collapsed, error) {
 	points, err := g.Points(seed)
 	if err != nil {
@@ -162,8 +149,8 @@ func RunCells(g Grid, run CellFunc, seed uint64, parallel int, cells []int, coll
 	return c, nil
 }
 
-// runPool is the worker-pool loop shared by every in-process execution
-// path (Run, RunCells and therefore every dispatcher). It fans the
+// runPool is the worker-pool loop behind RunCells and therefore every
+// in-process dispatcher. It fans the
 // given cell indices out across a bounded pool; newWorker is called
 // once per goroutine so each worker can own reusable state (a
 // Recorder), and the returned function executes one cell. The first

@@ -36,8 +36,9 @@ func TestRunCellsRecoversPanic(t *testing.T) {
 }
 
 // TestDispatchersMatchRunCollapsed checks, over random grids, that the
-// pool and shard dispatchers used directly produce output byte-identical
-// to the Options-driven entry points they back.
+// in-process dispatcher used directly — whole grid and each shard —
+// produces output byte-identical to the Options-driven entry point it
+// backs.
 func TestDispatchersMatchRunCollapsed(t *testing.T) {
 	rng := sim.NewRNG(7)
 	for trial := 0; trial < 20; trial++ {
@@ -62,15 +63,15 @@ func TestDispatchersMatchRunCollapsed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaDispatch, err := ShardDispatcher{Shard: sh, Parallel: 2}.Dispatch(g, propertyCell, seed, collapse...)
+			viaDispatch, err := PoolDispatcher{Shard: sh, Parallel: 2}.Dispatch(g, propertyCell, seed, collapse...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if encodeAll(t, viaDispatch) != encodeAll(t, viaOpts) {
-				t.Fatalf("trial %d shard %s: ShardDispatcher output differs from Options.Shard", trial, sh)
+				t.Fatalf("trial %d shard %s: PoolDispatcher output differs from Options.Shard", trial, sh)
 			}
 			if viaDispatch.Shard != sh {
-				t.Fatalf("trial %d: ShardDispatcher result carries shard %s, want %s", trial, viaDispatch.Shard, sh)
+				t.Fatalf("trial %d: PoolDispatcher result carries shard %s, want %s", trial, viaDispatch.Shard, sh)
 			}
 		}
 	}
@@ -78,7 +79,7 @@ func TestDispatchersMatchRunCollapsed(t *testing.T) {
 
 // TestRunCellsSubsetsMerge is the distributed-execution contract with
 // the network removed: any partition of the grid's cells into RunCells
-// batches merges (via MergeSubsets, in any batch order) into output
+// batches absorbs (via Accumulator, in any batch order) into output
 // byte-identical to a single-process sweep.
 func TestRunCellsSubsetsMerge(t *testing.T) {
 	rng := sim.NewRNG(99)
@@ -103,12 +104,16 @@ func TestRunCellsSubsetsMerge(t *testing.T) {
 			parts = append(parts, part)
 			cells = rest
 		}
-		perm := rng.Perm(len(parts))
-		shuffled := make([]*Collapsed, len(parts))
-		for i, p := range perm {
-			shuffled[i] = parts[p]
+		acc, err := NewAccumulator(g, seed, collapse...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		merged, err := MergeSubsets(shuffled...)
+		for _, i := range rng.Perm(len(parts)) {
+			if err := acc.Absorb(parts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := acc.Merged()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,9 +148,9 @@ func TestRunCellsValidation(t *testing.T) {
 	}
 }
 
-// TestMergeSubsetsValidation rejects overlapping, incomplete and
-// shard-sliced parts.
-func TestMergeSubsetsValidation(t *testing.T) {
+// TestAccumulatorValidation rejects overlapping, incomplete and
+// shard-sliced parts, and accepts every exact cover of the grid.
+func TestAccumulatorValidation(t *testing.T) {
 	g := testGrid(2)
 	part := func(cells ...int) *Collapsed {
 		c, err := RunCells(g, synthCell, 1, 1, cells, RepAxis)
@@ -154,33 +159,53 @@ func TestMergeSubsetsValidation(t *testing.T) {
 		}
 		return c
 	}
+	// merge absorbs the parts in order and finalizes, returning the
+	// first error.
+	merge := func(parts ...*Collapsed) error {
+		acc, err := NewAccumulator(g, 1, RepAxis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			if err := acc.Absorb(p); err != nil {
+				return err
+			}
+		}
+		_, err = acc.Merged()
+		return err
+	}
 	all := make([]int, g.Size())
 	for i := range all {
 		all[i] = i
 	}
-	if _, err := MergeSubsets(); err == nil {
-		t.Fatal("empty subset merge accepted")
+	if _, err := Merge(); err == nil {
+		t.Fatal("merge of no shards accepted")
 	}
-	if _, err := MergeSubsets(part(all[:2]...)); err == nil {
+	if err := merge(); err == nil {
+		t.Fatal("empty accumulation accepted")
+	}
+	if err := merge(part(all[:2]...)); err == nil {
 		t.Fatal("incomplete single part accepted")
 	}
-	if _, err := MergeSubsets(part(all[:2]...), part(all[1:]...)); err == nil {
+	// Cell 1 is in both parts but is no group's first cell, so only the
+	// cell-run count catches this overlap.
+	if err := merge(part(all[:2]...), part(all[1:]...)); err == nil {
 		t.Fatal("overlapping parts accepted")
 	}
-	if _, err := MergeSubsets(part(all[:2]...), part(all[3:]...)); err == nil {
+	if err := merge(part(all[:2]...), part(all[3:]...)); err == nil {
 		t.Fatal("gapped parts accepted")
 	}
 	sharded, err := RunCollapsed(g, synthCell, Options{Seed: 1, Shard: Shard{Index: 0, Count: 2}}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSubsets(sharded); err == nil {
-		t.Fatal("shard slice accepted by subset merge")
+	if err := merge(sharded); err == nil {
+		t.Fatal("shard slice accepted by the accumulator")
 	}
-	if _, err := MergeSubsets(part(all[:2]...), part(all[2:]...)); err != nil {
+	if err := merge(part(all[:2]...), part(all[2:]...)); err != nil {
 		t.Fatalf("valid subset partition rejected: %v", err)
 	}
-	if _, err := MergeSubsets(part(all...)); err != nil {
+	if err := merge(part(all...)); err != nil {
 		t.Fatalf("full single part rejected: %v", err)
 	}
 }

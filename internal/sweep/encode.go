@@ -219,27 +219,3 @@ func (c *Collapsed) Write(w io.Writer, format string) error {
 		return fmt.Errorf("sweep: unknown format %q (want table, csv, json or series)", format)
 	}
 }
-
-// WriteCSV writes the materialized result collapsed over the given axes
-// as long-form CSV.
-func WriteCSV(w io.Writer, r *Result, collapse ...string) error {
-	return r.Collapsed(collapse...).WriteCSV(w)
-}
-
-// WriteJSON writes the materialized result collapsed over the given
-// axes as an indented JSON document.
-func WriteJSON(w io.Writer, r *Result, collapse ...string) error {
-	return r.Collapsed(collapse...).WriteJSON(w)
-}
-
-// WriteTable writes the materialized result collapsed over the given
-// axes as an aligned text table.
-func WriteTable(w io.Writer, r *Result, collapse ...string) error {
-	return r.Collapsed(collapse...).WriteTable(w)
-}
-
-// WriteSeries writes the materialized result collapsed over the given
-// axes as plot-ready per-series CSV blocks.
-func WriteSeries(w io.Writer, r *Result, collapse ...string) error {
-	return r.Collapsed(collapse...).WriteSeries(w)
-}

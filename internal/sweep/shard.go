@@ -231,110 +231,86 @@ func Merge(shards ...*Collapsed) (*Collapsed, error) {
 		}
 		seen[s.Shard.Index] = true
 	}
-	return mergeParts(shards)
-}
-
-// MergeSubsets combines disjoint partial results of one sweep — e.g.
-// the lease results a distributed coordinator collects from its
-// workers — into the full result. Unlike Merge it does not require the
-// parts to form an i/n shard partition: any set of RunCells results
-// covering every grid cell exactly once merges — in any order — into
-// output byte-identical to a single-process run.
-//
-// Validation is necessarily partial: a Collapsed does not record which
-// cells it ran, so MergeSubsets checks that the parts describe the
-// same sweep, that the total number of cell runs equals the grid size,
-// and that at most one part ran each group's first cell. A pathological
-// overlap balanced by an equal-sized gap within one group passes those
-// checks; callers that hand out the cell partition (the coordinator
-// validates every lease result's per-group counts) own true
-// disjointness.
-func MergeSubsets(parts ...*Collapsed) (*Collapsed, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("sweep: merge of no parts")
-	}
-	for _, p := range parts {
-		if p.Shard.Count > 1 {
-			return nil, fmt.Errorf("sweep: subset merge of shard slice %s (use Merge)", p.Shard)
-		}
-	}
-	out := parts[0]
-	if len(parts) > 1 {
-		var err error
-		if out, err = mergeParts(parts); err != nil {
+	out := first.emptyCopy()
+	for _, s := range shards {
+		if _, err := out.absorb(s); err != nil {
 			return nil, err
 		}
 	}
-	ran := 0
-	for _, g := range out.Groups {
-		ran += g.Count
-	}
-	if ran != out.cells {
-		return nil, fmt.Errorf("sweep: subset merge covers %d cell runs of a %d-cell grid", ran, out.cells)
-	}
+	out.finalize()
 	return out, nil
 }
 
-// mergeParts combines per-group counts, sample multisets and
-// first-cell extras of parts describing the same sweep. Callers
-// validate how the parts partition the grid; mergeParts itself rejects
-// parts of different sweeps and parts that both ran a group's first
-// cell (a sure sign of overlap).
-func mergeParts(parts []*Collapsed) (*Collapsed, error) {
-	first := parts[0]
-	for _, s := range parts {
-		if s.Seed != first.Seed || s.cells != first.cells ||
-			!slices.Equal(s.CollapsedAxes, first.CollapsedAxes) ||
-			!slices.Equal(s.GroupAxes, first.GroupAxes) ||
-			len(s.Groups) != len(first.Groups) {
-			return nil, fmt.Errorf("sweep: part %s is not a slice of the same sweep", s.Shard)
-		}
-	}
+// emptyCopy returns the group skeleton of c — same sweep, same groups,
+// nothing folded in.
+func (c *Collapsed) emptyCopy() *Collapsed {
 	out := &Collapsed{
-		Seed:          first.Seed,
-		CollapsedAxes: first.CollapsedAxes,
-		GroupAxes:     first.GroupAxes,
-		cells:         first.cells,
-		cellStride:    first.cellStride,
+		Seed:          c.Seed,
+		CollapsedAxes: c.CollapsedAxes,
+		GroupAxes:     c.GroupAxes,
+		Groups:        make([]*Group, len(c.Groups)),
+		cells:         c.cells,
+		groupStride:   c.groupStride,
+		cellStride:    c.cellStride,
 		ids:           make(map[string]int),
 	}
-	out.Groups = make([]*Group, len(first.Groups))
-	for gi, fg := range first.Groups {
-		g := &Group{Key: fg.Key, Labels: fg.Labels, firstIndex: fg.firstIndex}
-		for _, s := range parts {
-			sg := s.Groups[gi]
-			if sg.Key != fg.Key || sg.firstIndex != fg.firstIndex {
-				return nil, fmt.Errorf("sweep: part %s group %d is %q, want %q",
-					s.Shard, gi, sg.Key, fg.Key)
-			}
-			g.Count += sg.Count
-			for id, samples := range sg.samples {
-				if len(samples) == 0 {
-					continue
-				}
-				name := s.names[id]
-				oid, ok := out.ids[name]
-				if !ok {
-					oid = len(out.names)
-					out.ids[name] = oid
-					out.names = append(out.names, name)
-				}
-				for oid >= len(g.samples) {
-					g.samples = append(g.samples, nil)
-				}
-				g.samples[oid] = append(g.samples[oid], samples...)
-			}
-			if sg.hasFirst {
-				if g.hasFirst {
-					return nil, fmt.Errorf("sweep: group %d first cell present in two parts (overlapping slices)", gi)
-				}
-				g.hasFirst = true
-				g.Extra = sg.Extra
-				g.First = sg.First
-			}
-		}
-		out.Groups[gi] = g
+	for i, g := range c.Groups {
+		out.Groups[i] = &Group{Key: g.Key, Labels: g.Labels, firstIndex: g.firstIndex}
 	}
-	out.finalize()
-	return out, nil
+	return out
+}
+
+// absorb folds a partial result of the same sweep into c: per-group
+// counts, raw sample multisets and first-cell extras. It is the one
+// merge step behind Merge and Accumulator.Absorb. The whole part is
+// validated before anything changes — same seed, grid size, axis sets
+// and group identities, and no group whose first cell both c and the
+// part ran (a sure sign of overlapping parts) — so a rejected part
+// leaves c untouched. It returns the number of cell runs the part
+// carried; callers that hand out the cell partition own true
+// disjointness, since a Collapsed does not record which cells it ran.
+func (c *Collapsed) absorb(part *Collapsed) (int, error) {
+	if part.Seed != c.Seed || part.cells != c.cells ||
+		!slices.Equal(part.CollapsedAxes, c.CollapsedAxes) ||
+		!slices.Equal(part.GroupAxes, c.GroupAxes) ||
+		len(part.Groups) != len(c.Groups) {
+		return 0, fmt.Errorf("sweep: part is not a slice of the same sweep")
+	}
+	ran := 0
+	for gi, pg := range part.Groups {
+		g := c.Groups[gi]
+		if pg.Key != g.Key || pg.firstIndex != g.firstIndex {
+			return 0, fmt.Errorf("sweep: part group %d is %q, want %q", gi, pg.Key, g.Key)
+		}
+		if pg.hasFirst && g.hasFirst {
+			return 0, fmt.Errorf("sweep: group %d first cell present twice (overlapping parts)", gi)
+		}
+		ran += pg.Count
+	}
+	for gi, pg := range part.Groups {
+		g := c.Groups[gi]
+		g.Count += pg.Count
+		for id, samples := range pg.samples {
+			if len(samples) == 0 {
+				continue
+			}
+			name := part.names[id]
+			oid, ok := c.ids[name]
+			if !ok {
+				oid = len(c.names)
+				c.ids[name] = oid
+				c.names = append(c.names, name)
+			}
+			for oid >= len(g.samples) {
+				g.samples = append(g.samples, nil)
+			}
+			g.samples[oid] = append(g.samples[oid], samples...)
+		}
+		if pg.hasFirst {
+			g.hasFirst = true
+			g.Extra = pg.Extra
+			g.First = pg.First
+		}
+	}
+	return ran, nil
 }

@@ -2,7 +2,8 @@
 // engine: it fans a declarative grid of scenarios (preemption primitive,
 // scheduler, cluster size, memory pressure, workload mix, ...) out across
 // a bounded worker pool, hands every cell an isolated deterministic seed,
-// and merges the per-run outcomes into aggregates in grid order.
+// and folds every cell's measurements into per-group aggregates as cells
+// complete (see RunCollapsed).
 //
 // Because cell seeds derive from the cell's coordinates rather than from
 // execution order (see sim.RNG.Stream), a sweep produces identical
@@ -10,137 +11,20 @@
 // -parallel 8 and -parallel 1 runs are byte-identical.
 package sweep
 
-import (
-	"hadooppreempt/internal/metrics"
-)
-
-// Outcome is what one run reports back to the harness.
-type Outcome struct {
-	// Values are named scalar measurements; collapsing summarizes them
-	// per remaining cell across the collapsed axes.
-	Values map[string]float64
-	// Labels are named categorical results (e.g. the chosen victim).
-	Labels map[string]string
-	// Extra carries a scenario-specific payload (trace, raw result);
-	// the harness passes it through untouched.
-	Extra any
-}
-
-// RunFunc executes one scenario cell. Implementations must build their
-// own isolated simulation state (engine, cluster, ...) seeded from
-// p.Seed or p.RNG(): the harness calls RunFunc from multiple goroutines
-// and shares nothing between cells.
-type RunFunc func(p Point) (Outcome, error)
-
 // Options tunes sweep execution.
 type Options struct {
 	// Parallel bounds the worker pool; values below 1 run serially.
 	Parallel int
 	// Seed is the sweep-level base seed every cell seed derives from.
 	Seed uint64
-	// Shard restricts a RunCollapsed execution to one seed-stable slice
-	// of the grid (the zero value runs every cell). Run ignores it.
+	// Shard restricts execution to one seed-stable slice of the grid
+	// (the zero value runs every cell).
 	Shard Shard
 	// Cache, when set, memoizes cell results persistently: cells whose
 	// verified entry exists replay it instead of executing, and misses
 	// are stored for future runs. Keys cover the grid fingerprint, the
 	// backend identity (via RunBackend), the base seed and the cell
-	// index, so warm reruns are byte-identical to cold ones. Run
-	// ignores it; RunCollapsed caches under an empty backend identity.
+	// index, so warm reruns are byte-identical to cold ones.
+	// RunCollapsed caches under an empty backend identity.
 	Cache *Cache
-}
-
-// PointResult pairs a cell with its outcome.
-type PointResult struct {
-	Point   Point
-	Outcome Outcome
-}
-
-// Result is a completed sweep, in grid order regardless of the order
-// cells finished in.
-type Result struct {
-	Grid   Grid
-	Seed   uint64
-	Points []PointResult
-}
-
-// Run executes every cell of the grid through the shared worker-pool
-// loop (see runPool) with opts.Parallel goroutines and returns the
-// outcomes in grid order. The first error (in grid order, not
-// completion order) aborts the sweep's result; remaining in-flight
-// cells still finish.
-func Run(g Grid, run RunFunc, opts Options) (*Result, error) {
-	points, err := g.Points(opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]int, len(points))
-	for i := range cells {
-		cells[i] = i
-	}
-	outcomes := make([]Outcome, len(points))
-	err = runPool(points, cells, opts.Parallel, func() func(int) error {
-		return func(i int) error {
-			o, err := run(points[i])
-			if err != nil {
-				return err
-			}
-			outcomes[i] = o
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Grid: g, Seed: opts.Seed, Points: make([]PointResult, len(points))}
-	for i := range points {
-		res.Points[i] = PointResult{Point: points[i], Outcome: outcomes[i]}
-	}
-	return res, nil
-}
-
-// Aggregate is one group of cells after collapsing axes (typically the
-// repetition axis).
-type Aggregate struct {
-	// Key identifies the group: the cells' shared coordinates.
-	Key string
-	// Labels maps each remaining axis name to the group's value label.
-	Labels map[string]string
-	// Count is the number of cells merged into the group.
-	Count int
-	// Metrics summarizes each outcome value across the group.
-	Metrics map[string]metrics.Summary
-	// First is the group's first cell in grid order, for typed axis
-	// access and scenario payloads that do not aggregate.
-	First PointResult
-}
-
-// Collapse groups the result over the named axes and summarizes every
-// outcome value per group with metrics order statistics. Groups are
-// returned in grid order. Collapsing no axes yields one group per cell.
-// It shares the grouping engine of the streaming path (see Collapsed),
-// so both produce identical aggregates.
-func (r *Result) Collapse(axes ...string) []*Aggregate {
-	c := r.Collapsed(axes...)
-	out := make([]*Aggregate, len(c.Groups))
-	for i, g := range c.Groups {
-		out[i] = &Aggregate{
-			Key:     g.Key,
-			Labels:  g.Labels,
-			Count:   g.Count,
-			Metrics: g.Metrics,
-			First:   r.Points[g.firstIndex],
-		}
-	}
-	return out
-}
-
-// MetricNames returns every outcome value name observed across the
-// result, in first-seen grid order.
-func (r *Result) MetricNames() []string {
-	c := metrics.NewCollector()
-	for _, pr := range r.Points {
-		c.ObserveAll(pr.Outcome.Values)
-	}
-	return c.Names()
 }

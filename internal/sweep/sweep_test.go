@@ -19,15 +19,28 @@ func testGrid(reps int) Grid {
 	).Pair("prim")
 }
 
-// synthRun is a deterministic stand-in for a simulation: it derives its
-// outcome purely from the cell seed and coordinates.
-func synthRun(pt Point) (Outcome, error) {
+// synthCell is a deterministic stand-in for a simulation: it derives
+// its measurements purely from the cell seed and coordinates.
+func synthCell(pt Point, rec *Recorder) error {
 	rng := pt.RNG()
 	base := pt.Float("r") + 100*float64(len(pt.Label("prim")))
-	return Outcome{Values: map[string]float64{
-		"sojourn_s":  base + rng.Float64(),
-		"makespan_s": 2*base + rng.Float64(),
-	}}, nil
+	// Recorded out of name order on purpose: summaries and encoders must
+	// not depend on it.
+	rec.Observe("sojourn_s", base+rng.Float64())
+	rec.Observe("makespan_s", 2*base+rng.Float64())
+	return nil
+}
+
+// encodeAll renders a collapsed result in every format.
+func encodeAll(t *testing.T, c *Collapsed) string {
+	t.Helper()
+	var out bytes.Buffer
+	for _, format := range []string{"csv", "json", "table"} {
+		if err := c.Write(&out, format); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.String()
 }
 
 func TestGridEnumeration(t *testing.T) {
@@ -129,18 +142,18 @@ func TestSeedsIgnoreAxisOrderOfOtherCells(t *testing.T) {
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	outputs := make(map[int]string)
 	for _, parallel := range []int{1, 4, 16} {
-		res, err := Run(testGrid(3), synthRun, Options{Parallel: parallel, Seed: 7})
+		col, err := RunCollapsed(testGrid(3), synthCell, Options{Parallel: parallel, Seed: 7}, RepAxis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var csv, js bytes.Buffer
-		if err := WriteCSV(&csv, res, RepAxis); err != nil {
+		var out bytes.Buffer
+		if err := col.WriteCSV(&out); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteJSON(&js, res, RepAxis); err != nil {
+		if err := col.WriteJSON(&out); err != nil {
 			t.Fatal(err)
 		}
-		outputs[parallel] = csv.String() + js.String()
+		outputs[parallel] = out.String()
 	}
 	if outputs[1] != outputs[4] || outputs[1] != outputs[16] {
 		t.Fatal("output differs across parallelism levels")
@@ -151,7 +164,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 	const parallel = 3
 	var active, peak, total int64
 	var mu sync.Mutex
-	run := func(pt Point) (Outcome, error) {
+	cell := func(pt Point, rec *Recorder) error {
 		n := atomic.AddInt64(&active, 1)
 		defer atomic.AddInt64(&active, -1)
 		atomic.AddInt64(&total, 1)
@@ -161,9 +174,9 @@ func TestWorkerPoolBounds(t *testing.T) {
 		}
 		mu.Unlock()
 		time.Sleep(time.Millisecond)
-		return Outcome{}, nil
+		return nil
 	}
-	if _, err := Run(testGrid(2), run, Options{Parallel: parallel, Seed: 1}); err != nil {
+	if _, err := RunCollapsed(testGrid(2), cell, Options{Parallel: parallel, Seed: 1}, RepAxis); err != nil {
 		t.Fatal(err)
 	}
 	if total != 18 {
@@ -177,78 +190,87 @@ func TestWorkerPoolBounds(t *testing.T) {
 	}
 }
 
+// TestRunErrorNamesFirstFailingCell: within a shard slice, the error
+// names the first failing cell the shard owns, in grid order.
 func TestRunErrorNamesFirstFailingCell(t *testing.T) {
-	run := func(pt Point) (Outcome, error) {
+	cell := func(pt Point, rec *Recorder) error {
 		if pt.Label("prim") == "kill" {
-			return Outcome{}, fmt.Errorf("boom at r=%v", pt.Float("r"))
+			return fmt.Errorf("boom at r=%v", pt.Float("r"))
 		}
-		return Outcome{}, nil
+		return nil
 	}
-	_, err := Run(testGrid(1), run, Options{Parallel: 4, Seed: 1})
+	opts := Options{Parallel: 4, Seed: 1, Shard: Shard{Index: 0, Count: 2}}
+	_, err := RunCollapsed(testGrid(1), cell, opts, RepAxis)
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	// Grid order: the first kill cell is kill/r=10/rep=0.
-	if !strings.Contains(err.Error(), `cell "prim=kill r=10 rep=0"`) {
-		t.Fatalf("error %q does not name the first failing cell", err)
+	// The kill cells are grid indices 3, 4 and 5; shard 0/2 owns the
+	// even indices, so its first failing cell is kill/r=50/rep=0.
+	if !strings.Contains(err.Error(), `cell "prim=kill r=50 rep=0"`) {
+		t.Fatalf("error %q does not name the shard's first failing cell", err)
 	}
 }
 
+// TestCollapseAggregates collapses a leading axis rather than the
+// repetition axis: each group gathers one cell per variant.
 func TestCollapseAggregates(t *testing.T) {
 	g := NewGrid(Strings("variant", "a", "b"), Reps(4))
-	run := func(pt Point) (Outcome, error) {
+	cell := func(pt Point, rec *Recorder) error {
 		// variant a reports its rep index, variant b twice that.
 		v := float64(pt.Int(RepAxis))
 		if pt.Label("variant") == "b" {
 			v *= 2
 		}
-		return Outcome{Values: map[string]float64{"x": v}}, nil
+		rec.Observe("x", v)
+		return nil
 	}
-	res, err := Run(g, run, Options{Parallel: 2, Seed: 1})
+	col, err := RunCollapsed(g, cell, Options{Parallel: 2, Seed: 1}, "variant")
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := res.Collapse(RepAxis)
-	if len(aggs) != 2 {
-		t.Fatalf("groups = %d, want 2", len(aggs))
+	if len(col.Groups) != 4 {
+		t.Fatalf("groups = %d, want 4", len(col.Groups))
 	}
-	a, b := aggs[0], aggs[1]
-	if a.Key != "variant=a" || b.Key != "variant=b" {
-		t.Fatalf("group keys = %q, %q", a.Key, b.Key)
-	}
-	if a.Count != 4 || b.Count != 4 {
-		t.Fatalf("counts = %d, %d, want 4, 4", a.Count, b.Count)
-	}
-	// reps 0..3: mean 1.5 for a, 3.0 for b.
-	if got := a.Metrics["x"]; got.Mean != 1.5 || got.Min != 0 || got.Max != 3 {
-		t.Fatalf("variant a summary = %+v", got)
-	}
-	if got := b.Metrics["x"].Mean; got != 3.0 {
-		t.Fatalf("variant b mean = %v, want 3", got)
-	}
-	if !reflect.DeepEqual(a.Labels, map[string]string{"variant": "a"}) {
-		t.Fatalf("labels = %v", a.Labels)
+	for rep, grp := range col.Groups {
+		if want := fmt.Sprintf("rep=%d", rep); grp.Key != want {
+			t.Fatalf("group %d key = %q, want %q", rep, grp.Key, want)
+		}
+		if grp.Count != 2 {
+			t.Fatalf("group %d count = %d, want 2", rep, grp.Count)
+		}
+		got := grp.Metrics["x"]
+		if r := float64(rep); got.Mean != 1.5*r || got.Min != r || got.Max != 2*r {
+			t.Fatalf("group %d summary = %+v", rep, got)
+		}
+		if !reflect.DeepEqual(grp.Labels, map[string]string{RepAxis: fmt.Sprint(rep)}) {
+			t.Fatalf("group %d labels = %v", rep, grp.Labels)
+		}
 	}
 }
 
 func TestCollapseNothingYieldsOneGroupPerCell(t *testing.T) {
-	res, err := Run(testGrid(1), synthRun, Options{Seed: 1})
+	g := testGrid(1)
+	col, err := RunCollapsed(g, synthCell, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := res.Collapse()
-	if len(aggs) != len(res.Points) {
-		t.Fatalf("groups = %d, want %d", len(aggs), len(res.Points))
+	if len(col.Groups) != g.Size() {
+		t.Fatalf("groups = %d, want %d", len(col.Groups), g.Size())
+	}
+	for i, grp := range col.Groups {
+		if grp.Count != 1 {
+			t.Fatalf("group %d folded %d cells, want 1", i, grp.Count)
+		}
 	}
 }
 
 func TestWriteCSVShape(t *testing.T) {
-	res, err := Run(testGrid(2), synthRun, Options{Seed: 1})
+	col, err := RunCollapsed(testGrid(2), synthCell, Options{Seed: 1}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, res, RepAxis); err != nil {
+	if err := col.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -266,18 +288,17 @@ func TestWriteCSVShape(t *testing.T) {
 
 func TestWriteJSONIncludesOutcomeLabels(t *testing.T) {
 	g := NewGrid(Strings("policy", "small", "large"))
-	run := func(pt Point) (Outcome, error) {
-		return Outcome{
-			Values: map[string]float64{"x": 1},
-			Labels: map[string]string{"victim": "victim-of-" + pt.Label("policy")},
-		}, nil
+	cell := func(pt Point, rec *Recorder) error {
+		rec.Observe("x", 1)
+		rec.Label("victim", "victim-of-"+pt.Label("policy"))
+		return nil
 	}
-	res, err := Run(g, run, Options{Seed: 1})
+	col, err := RunCollapsed(g, cell, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, res); err != nil {
+	if err := col.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"victim": "victim-of-small"`, `"policy": "large"`, `"seed": 1`} {
@@ -288,12 +309,12 @@ func TestWriteJSONIncludesOutcomeLabels(t *testing.T) {
 }
 
 func TestWriteTableAligned(t *testing.T) {
-	res, err := Run(testGrid(1), synthRun, Options{Seed: 1})
+	col, err := RunCollapsed(testGrid(1), synthCell, Options{Seed: 1}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, res, RepAxis); err != nil {
+	if err := col.WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

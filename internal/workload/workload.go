@@ -151,42 +151,26 @@ func pickClass(classes []JobClass, total float64, rng *sim.RNG) *JobClass {
 	return &classes[len(classes)-1]
 }
 
-// Install creates the input files and schedules the submissions on the
-// cluster. It returns the submitted jobs' names in order; the jobs
-// themselves materialize as virtual time advances.
-func Install(cluster *mapreduce.Cluster, specs []JobSpec) ([]string, error) {
-	names := make([]string, 0, len(specs))
-	for i := range specs {
-		spec := specs[i]
-		if err := cluster.CreateInput(spec.Conf.InputPath, spec.InputBytes); err != nil {
-			return nil, fmt.Errorf("workload: input for %s: %w", spec.Conf.Name, err)
-		}
-		cluster.Engine().At(spec.SubmitAt, func() {
-			if _, err := cluster.JobTracker().Submit(spec.Conf); err != nil {
-				panic(fmt.Sprintf("workload: submit %s: %v", spec.Conf.Name, err))
-			}
-		})
-		names = append(names, spec.Conf.Name)
-	}
-	return names, nil
-}
-
-// InstallWindowed is Install with bounded input materialization: at most
-// window inputs exist ahead of the submission frontier, so a
-// multi-thousand-job trace no longer allocates every HDFS file up
-// front. Submissions are still all scheduled at install time — engine
-// event ordering is exactly Install's — and inputs are created in spec
-// order (HDFS placement draws from a private RNG consumed only at
-// creation, so deferring creation to any point before the first read
-// leaves block IDs and replica placement unchanged). Output is
-// therefore byte-identical to Install for any window.
+// InstallWindowed creates the jobs' input files and schedules their
+// submissions on the cluster. It returns the submitted jobs' names in
+// order; the jobs themselves materialize as virtual time advances.
+//
+// Input materialization is bounded: at most window inputs exist ahead
+// of the submission frontier, so a multi-thousand-job trace does not
+// allocate every HDFS file up front. Submissions are all scheduled at
+// install time, and inputs are created in spec order (HDFS placement
+// draws from a private RNG consumed only at creation, so deferring
+// creation to any point before the first read leaves block IDs and
+// replica placement unchanged). Output is therefore byte-identical for
+// any window.
 //
 // Windowing requires specs sorted by SubmitAt (the submission frontier
-// is what pulls the next input into existence); unsorted specs fall
-// back to the unbounded path. window <= 0 also means unbounded.
+// is what pulls the next input into existence). window <= 0, a window
+// covering every spec, and unsorted specs all create every input up
+// front.
 func InstallWindowed(cluster *mapreduce.Cluster, specs []JobSpec, window int) ([]string, error) {
 	if window <= 0 || window >= len(specs) || !sortedBySubmit(specs) {
-		return Install(cluster, specs)
+		window = len(specs)
 	}
 	create := func(i int) error {
 		if err := cluster.CreateInput(specs[i].Conf.InputPath, specs[i].InputBytes); err != nil {

@@ -110,7 +110,7 @@ func TestInstallRunsWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := Install(cluster, specs)
+	names, err := InstallWindowed(cluster, specs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,17 +31,8 @@ type SweepAxis = sweep.Axis
 // SweepPoint is one grid cell handed to a run function.
 type SweepPoint = sweep.Point
 
-// SweepOutcome is what one run reports back.
-type SweepOutcome = sweep.Outcome
-
 // SweepOptions tunes execution (worker pool size, base seed).
 type SweepOptions = sweep.Options
-
-// SweepResult is a completed sweep in grid order.
-type SweepResult = sweep.Result
-
-// SweepRunFunc executes one cell, materializing its outcome.
-type SweepRunFunc = sweep.RunFunc
 
 // SweepCellFunc executes one cell on the streaming-collapse path,
 // reporting measurements through a reusable recorder.
@@ -82,11 +73,6 @@ func NewCellCache(dir string) (*CellCache, error) {
 // the one documented exception to determinism).
 type SweepBackend = sweep.Backend
 
-// RunSweep executes every cell of the grid through the parallel harness.
-func RunSweep(g SweepGrid, run SweepRunFunc, opts SweepOptions) (*SweepResult, error) {
-	return sweep.Run(g, run, opts)
-}
-
 // RunSweepCollapsed executes the grid — or the shard of it selected by
 // opts.Shard — on the streaming path, folding outcomes into aggregates
 // collapsed over the named axes as cells complete.
@@ -95,8 +81,8 @@ func RunSweepCollapsed(g SweepGrid, run SweepCellFunc, opts SweepOptions, collap
 }
 
 // SweepDispatcher abstracts execution placement for a sweep: the
-// in-process worker pool, the static -shard slicer, and the
-// distributed coordinator are three implementations behind one
+// in-process worker pool (whole grid or one -shard slice) and the
+// distributed coordinator are two implementations behind one
 // dispatch entry point (see DispatchSweepBackend), so local, sharded
 // and multi-machine runs share every determinism guarantee.
 type SweepDispatcher = sweep.Dispatcher
@@ -129,31 +115,6 @@ func ReadSweepShard(r io.Reader) (*SweepCollapsed, error) {
 // into the full result, byte-identical to a single-process run.
 func MergeSweepShards(shards ...*SweepCollapsed) (*SweepCollapsed, error) {
 	return sweep.Merge(shards...)
-}
-
-// WriteSweepCSV renders a sweep collapsed over its repetition axis as
-// long-form CSV (one row per cell and metric).
-func WriteSweepCSV(w io.Writer, r *SweepResult) error {
-	return sweep.WriteCSV(w, r, sweep.RepAxis)
-}
-
-// WriteSweepJSON renders a sweep collapsed over its repetition axis as
-// an indented JSON document.
-func WriteSweepJSON(w io.Writer, r *SweepResult) error {
-	return sweep.WriteJSON(w, r, sweep.RepAxis)
-}
-
-// WriteSweepTable renders a sweep collapsed over its repetition axis as
-// an aligned text table of per-cell means.
-func WriteSweepTable(w io.Writer, r *SweepResult) error {
-	return sweep.WriteTable(w, r, sweep.RepAxis)
-}
-
-// WriteSweepSeries renders a sweep collapsed over its repetition axis
-// as plot-ready per-series CSV blocks (one block per metric, one column
-// per series).
-func WriteSweepSeries(w io.Writer, r *SweepResult) error {
-	return sweep.WriteSeries(w, r, sweep.RepAxis)
 }
 
 // TwoJobSweep returns the canned grid and runner for the paper's

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	hp "hadooppreempt"
-	"hadooppreempt/internal/mapreduce"
 )
 
 // TestTwoJobSweepEndToEnd drives the paper's two-job scenario grid
@@ -233,79 +232,6 @@ func TestClusterSweepRuns(t *testing.T) {
 		}
 		if g.Metrics["sojourn_p95_s"].Mean < g.Metrics["sojourn_mean_s"].Mean {
 			t.Errorf("scheduler %s: p95 below mean", g.Labels["sched"])
-		}
-	}
-}
-
-// TestQuiescentHeartbeatParity is the heartbeat fast path's proof
-// obligation in unit-test form: skipping provably no-op scheduler
-// consultations must be invisible in every output byte. The two-job
-// grid renders CSV+JSON with the fast path enabled and disabled — at
-// -parallel 1, -parallel 8, and through a 3-way shard/merge — and each
-// pairing must be identical.
-func TestQuiescentHeartbeatParity(t *testing.T) {
-	defer mapreduce.SetQuiescentHeartbeats(true)
-	render := func(col *hp.SweepCollapsed) string {
-		var out bytes.Buffer
-		if err := col.WriteCSV(&out); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.WriteJSON(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	direct := func(parallel int) string {
-		grid, run := hp.TwoJobSweep(1)
-		col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: parallel, Seed: 13}, "rep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return render(col)
-	}
-	sharded := func() string {
-		const shards = 3
-		parts := make([]*hp.SweepCollapsed, shards)
-		for i := 0; i < shards; i++ {
-			grid, run := hp.TwoJobSweep(1)
-			opts := hp.SweepOptions{Parallel: 4, Seed: 13, Shard: hp.SweepShard{Index: i, Count: shards}}
-			col, err := hp.RunSweepCollapsed(grid, run, opts, "rep")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var file bytes.Buffer
-			if err := col.WriteShard(&file); err != nil {
-				t.Fatal(err)
-			}
-			if parts[i], err = hp.ReadSweepShard(&file); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := hp.MergeSweepShards(parts[2], parts[0], parts[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return render(merged)
-	}
-	type variant struct {
-		name string
-		run  func() string
-	}
-	variants := []variant{
-		{"parallel=1", func() string { return direct(1) }},
-		{"parallel=8", func() string { return direct(8) }},
-		{"shard/merge", sharded},
-	}
-	for _, v := range variants {
-		mapreduce.SetQuiescentHeartbeats(true)
-		fast := v.run()
-		mapreduce.SetQuiescentHeartbeats(false)
-		slow := v.run()
-		if fast != slow {
-			t.Fatalf("%s: output differs with the quiescent fast path on vs off", v.name)
-		}
-		if len(fast) == 0 {
-			t.Fatalf("%s: empty output", v.name)
 		}
 	}
 }
