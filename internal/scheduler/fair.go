@@ -184,8 +184,8 @@ func (f *Fair) TaskProgressed(*mapreduce.Task, float64) {}
 // poolStats counts a pool's running tasks and total demand.
 func (f *Fair) poolStats(p *fairPool) (running, demand int) {
 	for _, job := range p.jobs {
-		for _, t := range job.Tasks() {
-			switch t.State() {
+		for i, n := 0, job.NumTasks(); i < n; i++ {
+			switch job.TaskAt(i).State() {
 			case mapreduce.TaskRunning, mapreduce.TaskMustSuspend:
 				running++
 				demand++
@@ -323,7 +323,8 @@ func (f *Fair) suspendedCount(pool string) int {
 func (f *Fair) pickTask(p *fairPool, tt mapreduce.TaskTrackerInfo, taken map[mapreduce.TaskID]bool) *mapreduce.Task {
 	var fallback *mapreduce.Task
 	for _, job := range p.jobs {
-		for _, t := range job.Tasks() {
+		for i, n := 0, job.NumTasks(); i < n; i++ {
+			t := job.TaskAt(i)
 			if t.State() != mapreduce.TaskPending || taken[t.ID()] {
 				continue
 			}
@@ -428,7 +429,8 @@ func (f *Fair) preemptFor(starved *fairPool, active []*fairPool, share float64) 
 			continue
 		}
 		for _, job := range p.jobs {
-			for _, t := range job.Tasks() {
+			for i, n := 0, job.NumTasks(); i < n; i++ {
+				t := job.TaskAt(i)
 				if t.State() != mapreduce.TaskRunning {
 					continue
 				}

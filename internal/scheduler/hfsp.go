@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"hadooppreempt/internal/advisor"
@@ -36,6 +38,12 @@ func DefaultHFSPConfig() HFSPConfig {
 // measured progress — and smaller jobs preempt the tasks of bigger ones
 // using the configured preemption primitive. The paper's §VI reports
 // preliminary results of exactly this combination.
+//
+// Every decision costs O(live jobs + their tasks) and allocates nothing
+// in steady state: job sizes are summed once at submission, finished
+// jobs leave the job list (and the suspension map) at the next
+// decision, and each live job's remaining size is computed once per
+// decision.
 type HFSP struct {
 	eng       *sim.Engine
 	jt        *mapreduce.JobTracker
@@ -43,18 +51,72 @@ type HFSP struct {
 	preemptor *core.Preemptor
 	adv       advisor.Advisor
 
-	jobs []*mapreduce.Job
-	// starvedSince tracks when the currently smallest job started waiting.
-	starvedSince map[mapreduce.JobID]time.Duration
-	suspended    map[mapreduce.TaskID]mapreduce.JobID
+	// jobs holds the live (pending or running) jobs in submission order.
+	jobs []*hfspJob
+	// submitted counts JobSubmitted calls; it numbers the jobs.
+	submitted int
+	// order is Assign's reused scratch: jobs sorted smallest first.
+	order []*hfspJob
+	// suspended maps the tasks HFSP suspended to their live job.
+	suspended map[mapreduce.TaskID]*hfspJob
+	// out is reused across Assign calls; the JobTracker consumes the
+	// assignments before the next call.
+	out []mapreduce.Assignment
 
 	// Scratch for check's victim selection, reused so a preemption
-	// decision allocates nothing; candTasks parallels cands.
+	// decision allocates nothing; candTasks and candJobs parallel cands.
 	cands     []advisor.Candidate
 	candTasks []*mapreduce.Task
+	candJobs  []*hfspJob
+
+	// checkFn is check as a func value, made once so re-arming the
+	// check loop does not allocate a method value each time.
+	checkFn func()
 
 	preemptions int
 	resumes     int
+}
+
+// hfspJob is HFSP's record of one submitted job.
+type hfspJob struct {
+	job *mapreduce.Job
+	// seq is the submission index. It breaks remaining-size ties, so
+	// equal-sized jobs are served in submission order.
+	seq int
+	// total is the job's map-input bytes. A job's blocks are fixed at
+	// submission, so it is summed once.
+	total int64
+	// key is the remaining size as of the current decision and rank the
+	// job's position in Assign's order.
+	key  float64
+	rank int
+	// seenStarved records that check found the job starved, at
+	// starvedSince, and has not preempted on its behalf since.
+	seenStarved  bool
+	starvedSince time.Duration
+}
+
+// remainingSize estimates the job's remaining virtual size in bytes.
+func (hj *hfspJob) remainingSize() float64 {
+	rem := float64(hj.total) * (1 - hj.job.Progress())
+	if rem < 0 {
+		rem = 0
+	}
+	return rem
+}
+
+// bySize orders jobs by (remaining size, submission index), smallest
+// first. The order is total, so any sort yields what a stable sort by
+// size alone over the submission-ordered list does. Sizes are never
+// NaN, so plain comparisons suffice.
+func bySize(a, b *hfspJob) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 var _ mapreduce.Scheduler = (*HFSP)(nil)
@@ -65,6 +127,17 @@ var _ mapreduce.Scheduler = (*HFSP)(nil)
 // §V-A's minimal-paging strategy).
 func NewHFSP(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preemptor,
 	adv advisor.Advisor, cfg HFSPConfig) (*HFSP, error) {
+	h, err := newHFSP(eng, jt, preemptor, adv, cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng.Schedule(cfg.CheckInterval, h.checkFn)
+	return h, nil
+}
+
+// newHFSP creates the scheduler without starting its check loop.
+func newHFSP(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preemptor,
+	adv advisor.Advisor, cfg HFSPConfig) (*HFSP, error) {
 	if cfg.CheckInterval <= 0 {
 		return nil, fmt.Errorf("scheduler: hfsp needs positive CheckInterval")
 	}
@@ -73,15 +146,14 @@ func NewHFSP(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preempto
 		return nil, err
 	}
 	h := &HFSP{
-		eng:          eng,
-		jt:           jt,
-		cfg:          cfg,
-		preemptor:    preemptor,
-		adv:          adv,
-		starvedSince: make(map[mapreduce.JobID]time.Duration),
-		suspended:    make(map[mapreduce.TaskID]mapreduce.JobID),
+		eng:       eng,
+		jt:        jt,
+		cfg:       cfg,
+		preemptor: preemptor,
+		adv:       adv,
+		suspended: make(map[mapreduce.TaskID]*hfspJob),
 	}
-	eng.Schedule(cfg.CheckInterval, h.check)
+	h.checkFn = h.check
 	return h, nil
 }
 
@@ -92,7 +164,16 @@ func (h *HFSP) Preemptions() int { return h.preemptions }
 func (h *HFSP) Resumes() int { return h.resumes }
 
 // JobSubmitted implements mapreduce.Scheduler.
-func (h *HFSP) JobSubmitted(job *mapreduce.Job) { h.jobs = append(h.jobs, job) }
+func (h *HFSP) JobSubmitted(job *mapreduce.Job) {
+	hj := &hfspJob{job: job, seq: h.submitted}
+	h.submitted++
+	for i, n := 0, job.NumTasks(); i < n; i++ {
+		if t := job.TaskAt(i); t.ID().Type == mapreduce.MapTask {
+			hj.total += t.Block().Size
+		}
+	}
+	h.jobs = append(h.jobs, hj)
+}
 
 // JobCompleted implements mapreduce.Scheduler.
 func (h *HFSP) JobCompleted(*mapreduce.Job) {}
@@ -100,148 +181,160 @@ func (h *HFSP) JobCompleted(*mapreduce.Job) {}
 // TaskProgressed implements mapreduce.Scheduler.
 func (h *HFSP) TaskProgressed(*mapreduce.Task, float64) {}
 
-// remainingSize estimates a job's remaining virtual size in bytes.
-func (h *HFSP) remainingSize(job *mapreduce.Job) float64 {
-	var total int64
-	for _, t := range job.MapTasks() {
-		total += t.Block().Size
+// live drops the jobs that finished since the last decision, together
+// with their bookkeeping, computes each remaining job's size key and
+// returns the live jobs in submission order.
+func (h *HFSP) live() []*hfspJob {
+	kept := h.jobs[:0]
+	for _, hj := range h.jobs {
+		if s := hj.job.State(); s != mapreduce.JobPending && s != mapreduce.JobRunning {
+			h.forget(hj)
+			continue
+		}
+		hj.key = hj.remainingSize()
+		kept = append(kept, hj)
 	}
-	rem := float64(total) * (1 - job.Progress())
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
+	clear(h.jobs[len(kept):])
+	h.jobs = kept
+	return kept
 }
 
-// ordered returns live jobs ordered by remaining size (smallest first,
-// ties by submission).
-func (h *HFSP) ordered() []*mapreduce.Job {
-	var live []*mapreduce.Job
-	for _, j := range h.jobs {
-		if j.State() == mapreduce.JobPending || j.State() == mapreduce.JobRunning {
-			live = append(live, j)
+// forget deletes a finished job's suspension entries. The map is read
+// only for live jobs, so this changes no decision.
+func (h *HFSP) forget(hj *hfspJob) {
+	if len(h.suspended) == 0 {
+		return
+	}
+	for i, n := 0, hj.job.NumTasks(); i < n; i++ {
+		delete(h.suspended, hj.job.TaskAt(i).ID())
+	}
+}
+
+// rank fills h.order with the live jobs, smallest first, and records
+// each job's position.
+func (h *HFSP) rank() {
+	h.order = append(h.order[:0], h.live()...)
+	slices.SortFunc(h.order, bySize)
+	for i, hj := range h.order {
+		hj.rank = i
+	}
+}
+
+// hasPending reports whether the job has a task waiting for a slot.
+func hasPending(job *mapreduce.Job) bool {
+	for i, n := 0, job.NumTasks(); i < n; i++ {
+		if job.TaskAt(i).State() == mapreduce.TaskPending {
+			return true
 		}
 	}
-	// Stable insertion sort by remaining size.
-	for i := 1; i < len(live); i++ {
-		for k := i; k > 0 && h.remainingSize(live[k]) < h.remainingSize(live[k-1]); k-- {
-			live[k], live[k-1] = live[k-1], live[k]
-		}
-	}
-	return live
+	return false
 }
 
 // Assign implements mapreduce.Scheduler: slots go to the smallest job
 // first; its suspended tasks on this tracker resume before new launches.
 func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 	free := tt.FreeMapSlots
-	ordered := h.ordered()
-	rank := make(map[mapreduce.JobID]int, len(ordered))
-	for i, j := range ordered {
-		rank[j.ID()] = i
+	if free <= 0 {
+		return nil
 	}
-
-	// Resume suspended tasks of the highest-ranked (smallest) jobs first.
-	bestRank := len(ordered)
-	var bestResume mapreduce.TaskID
-	for _, tid := range tt.SuspendedTasks {
-		if jid, ok := h.suspended[tid]; ok {
-			if r, live := rank[jid]; live && r < bestRank {
-				bestRank = r
-				bestResume = tid
-			}
+	h.rank()
+	if tid, ok := h.resumable(tt); ok {
+		if err := h.jt.ResumeTask(tid); err == nil {
+			h.resumes++
+			free--
+			delete(h.suspended, tid)
 		}
 	}
-	if bestResume != (mapreduce.TaskID{}) && free > 0 {
-		// Only resume if no smaller job is waiting for this slot.
-		if !h.smallerJobWaiting(ordered, bestRank) {
-			if err := h.jt.ResumeTask(bestResume); err == nil {
-				h.resumes++
-				free--
-				delete(h.suspended, bestResume)
-			}
-		}
-	}
-
-	var out []mapreduce.Assignment
-	taken := make(map[mapreduce.TaskID]bool)
-	for _, job := range ordered {
+	out := h.out[:0]
+	for _, hj := range h.order {
 		if free <= 0 {
 			break
 		}
-		for _, t := range job.Tasks() {
-			if free <= 0 {
-				break
-			}
-			if t.State() != mapreduce.TaskPending || taken[t.ID()] {
+		job := hj.job
+		for i, n := 0, job.NumTasks(); i < n && free > 0; i++ {
+			t := job.TaskAt(i)
+			if t.State() != mapreduce.TaskPending {
 				continue
 			}
 			if t.ID().Type == mapreduce.ReduceTask && !mapsDone(job) {
 				continue
 			}
-			taken[t.ID()] = true
 			out = append(out, mapreduce.Assignment{Task: t.ID()})
 			free--
 		}
 	}
+	h.out = out
 	return out
 }
 
-// smallerJobWaiting reports whether a job ranked above r has pending
-// tasks.
-func (h *HFSP) smallerJobWaiting(ordered []*mapreduce.Job, r int) bool {
-	for i := 0; i < r && i < len(ordered); i++ {
-		for _, t := range ordered[i].Tasks() {
-			if t.State() == mapreduce.TaskPending {
-				return true
-			}
+// resumable picks the task to resume on tt, given h.order: the
+// suspended task of the smallest job, first in tt's list among equals,
+// unless a smaller job has pending tasks that should get the slot.
+func (h *HFSP) resumable(tt mapreduce.TaskTrackerInfo) (mapreduce.TaskID, bool) {
+	var best *hfspJob
+	var tid mapreduce.TaskID
+	for _, id := range tt.SuspendedTasks {
+		// Every entry belongs to a live job: live forgets the rest.
+		if hj, ok := h.suspended[id]; ok && (best == nil || hj.rank < best.rank) {
+			best, tid = hj, id
 		}
 	}
-	return false
+	if best == nil {
+		return mapreduce.TaskID{}, false
+	}
+	for _, hj := range h.order[:best.rank] {
+		if hasPending(hj.job) {
+			return mapreduce.TaskID{}, false
+		}
+	}
+	return tid, true
 }
 
-// check preempts tasks of larger jobs when a smaller job has been starved
-// past the delay.
+// check preempts a task of a larger job when a smaller job has been
+// starved past the delay, and re-arms itself.
 func (h *HFSP) check() {
-	defer h.eng.Schedule(h.cfg.CheckInterval, h.check)
-	now := h.eng.Now()
-	ordered := h.ordered()
-	if len(ordered) < 2 {
-		return
+	defer h.eng.Schedule(h.cfg.CheckInterval, h.checkFn)
+	if starved, v := h.pickVictim(); v != advisor.NoVictim {
+		h.preempt(starved, v)
 	}
-	// Find the smallest job with pending work.
-	var starved *mapreduce.Job
-	starvedRank := -1
-	for i, j := range ordered {
-		for _, t := range j.Tasks() {
-			if t.State() == mapreduce.TaskPending {
-				starved = j
-				starvedRank = i
-				break
-			}
-		}
-		if starved != nil {
-			break
+}
+
+// pickVictim finds the starved job — the smallest live job with a
+// pending task — and, once it has waited PreemptionDelay, the index in
+// h.candTasks of the victim the advisor picks among the running tasks
+// of larger jobs (advisor.NoVictim when there is none). The advisor's
+// pick does not depend on candidate order, so no sort is needed. The
+// candidate slices are reused scratch: a decision allocates nothing.
+func (h *HFSP) pickVictim() (starved *hfspJob, victim int) {
+	jobs := h.live()
+	if len(jobs) < 2 {
+		return nil, advisor.NoVictim
+	}
+	for _, hj := range jobs {
+		if (starved == nil || bySize(hj, starved) < 0) && hasPending(hj.job) {
+			starved = hj
 		}
 	}
 	if starved == nil {
-		return
+		return nil, advisor.NoVictim
 	}
-	since, ok := h.starvedSince[starved.ID()]
-	if !ok {
-		h.starvedSince[starved.ID()] = now
-		return
+	now := h.eng.Now()
+	if !starved.seenStarved {
+		starved.seenStarved, starved.starvedSince = true, now
+		return starved, advisor.NoVictim
 	}
-	if now-since < h.cfg.PreemptionDelay {
-		return
+	if now-starved.starvedSince < h.cfg.PreemptionDelay {
+		return starved, advisor.NoVictim
 	}
-	// Victims: running tasks of jobs ranked below the starved job. The
-	// candidate slices are reused scratch: one decision allocates
-	// nothing.
 	h.cands = h.cands[:0]
 	h.candTasks = h.candTasks[:0]
-	for i := starvedRank + 1; i < len(ordered); i++ {
-		for _, t := range ordered[i].Tasks() {
+	h.candJobs = h.candJobs[:0]
+	for _, hj := range jobs {
+		if bySize(starved, hj) >= 0 {
+			continue
+		}
+		for i, n := 0, hj.job.NumTasks(); i < n; i++ {
+			t := hj.job.TaskAt(i)
 			if t.State() != mapreduce.TaskRunning {
 				continue
 			}
@@ -256,19 +349,21 @@ func (h *HFSP) check() {
 				StartedAt:     t.FirstLaunchAt(),
 			})
 			h.candTasks = append(h.candTasks, t)
+			h.candJobs = append(h.candJobs, hj)
 		}
 	}
-	d := h.adv.Decide(advisor.Request{Candidates: h.cands})
-	if d.Victim == advisor.NoVictim {
-		return
-	}
-	vt := h.candTasks[d.Victim]
+	return starved, h.adv.Decide(advisor.Request{Candidates: h.cands}).Victim
+}
+
+// preempt preempts candidate v on behalf of the starved job.
+func (h *HFSP) preempt(starved *hfspJob, v int) {
+	vt := h.candTasks[v]
 	if _, err := h.preemptor.Preempt(vt.ID()); err != nil {
 		return
 	}
 	h.preemptions++
-	delete(h.starvedSince, starved.ID())
+	starved.seenStarved = false
 	if h.preemptor.Primitive() == core.Suspend || h.preemptor.Primitive() == core.Checkpoint {
-		h.suspended[vt.ID()] = vt.Job().ID()
+		h.suspended[vt.ID()] = h.candJobs[v]
 	}
 }

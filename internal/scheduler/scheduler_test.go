@@ -314,3 +314,68 @@ func TestTriggerEventStrings(t *testing.T) {
 		t.Fatal("trigger event strings wrong")
 	}
 }
+
+// TestHFSPDecisionsAllocateNothing pins that a warmed-up HFSP decides
+// without allocating: the preemption check's decision (starved job,
+// candidates, advisor) and an Assign that assigns but resumes nothing,
+// whether or not the tracker reports suspended tasks.
+func TestHFSPDecisionsAllocateNothing(t *testing.T) {
+	c := testClusterWith(t, 1, 2)
+	jt := c.JobTracker()
+	hcfg := scheduler.DefaultHFSPConfig()
+	hcfg.PreemptionDelay = 0
+	h, err := scheduler.NewHFSPUnarmed(c.Engine(), jt, preemptorFor(t, c, core.Suspend), advisor.Advisor{}, hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jt.SetScheduler(h)
+	// big's four ~64 s tasks fill both slots; small's two wait behind.
+	c.CreateInput("/big", 2<<30)
+	big := quickJob("big", "/big")
+	big.MapParseRate = 8e6
+	jbig, _ := jt.Submit(big)
+	c.RunUntil(10 * time.Second)
+	c.CreateInput("/small", 1<<30)
+	small := quickJob("small", "/small")
+	small.MapParseRate = 8e6
+	jsmall, _ := jt.Submit(small)
+	c.RunUntil(15 * time.Second)
+
+	h.PickVictim() // first sighting of the starved job
+	starved, victim := h.PickVictim()
+	if starved != jsmall || victim == nil || victim.Job() != jbig {
+		t.Fatalf("check decides starved %v victim %v, want small starved and a big victim", starved, victim)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.PickVictim() }); allocs != 0 {
+		t.Errorf("check decision: %v allocs, want 0", allocs)
+	}
+
+	node := c.Node(0)
+	tt := mapreduce.TaskTrackerInfo{Name: node.Tracker.Name(), Node: node.Name, FreeMapSlots: 1}
+	if out := h.Assign(tt); len(out) != 1 || out[0].Task.Job != jsmall.ID() {
+		t.Fatalf("Assign = %v, want one task of small", out)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.Assign(tt) }); allocs != 0 {
+		t.Errorf("Assign: %v allocs, want 0", allocs)
+	}
+
+	// Suspend the big task; small takes the freed slot and still has a
+	// pending task, so the suspended task must not resume.
+	if _, v := h.CheckStep(); v == nil {
+		t.Fatal("check preempted nothing")
+	}
+	c.RunUntil(20 * time.Second)
+	if victim.State() != mapreduce.TaskSuspended {
+		t.Fatalf("victim state = %v, want suspended", victim.State())
+	}
+	tt.SuspendedTasks = []mapreduce.TaskID{victim.ID()}
+	if _, ok := h.ResumeChoice(tt); ok {
+		t.Fatal("HFSP would resume a bigger job's task while a smaller job waits")
+	}
+	if out := h.Assign(tt); len(out) != 1 || out[0].Task.Job != jsmall.ID() {
+		t.Fatalf("Assign = %v, want small's pending task", out)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.Assign(tt) }); allocs != 0 {
+		t.Errorf("Assign with a suspended task: %v allocs, want 0", allocs)
+	}
+}

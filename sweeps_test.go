@@ -242,7 +242,22 @@ func TestClusterSweepRuns(t *testing.T) {
 // `make replay-check`) in process and checks its CSV against the
 // committed hash golden.
 func TestLargeTraceReplayGoldenHash(t *testing.T) {
-	want, err := os.ReadFile("goldens/replay_trace1200.sha256")
+	checkReplay1200Hash(t, "fifo", "goldens/replay_trace1200.sha256")
+}
+
+// TestHFSPReplayGoldenHash runs the same replay under HFSP with suspend
+// (the command above with `-replay-sched hfsp`, also in
+// `make replay-check`), so a change to HFSP's decisions cannot pass
+// unnoticed.
+func TestHFSPReplayGoldenHash(t *testing.T) {
+	checkReplay1200Hash(t, "hfsp", "goldens/replay_hfsp1200.sha256")
+}
+
+// checkReplay1200Hash replays the synthesized 1,200-job trace in three
+// shards under sched and compares the CSV's SHA-256 with golden.
+func checkReplay1200Hash(t *testing.T, sched, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +269,7 @@ func TestLargeTraceReplayGoldenHash(t *testing.T) {
 		Jobs:      trace,
 		Shards:    3,
 		Reps:      1,
-		Scheduler: "fifo",
+		Scheduler: sched,
 		TimeScale: 10,
 		Window:    64,
 	})
@@ -271,6 +286,6 @@ func TestLargeTraceReplayGoldenHash(t *testing.T) {
 	}
 	sum := sha256.Sum256(out.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
-		t.Fatalf("large-trace replay hash %s != golden %s", got, strings.TrimSpace(string(want)))
+		t.Fatalf("%s replay hash %s != golden %s", sched, got, strings.TrimSpace(string(want)))
 	}
 }
